@@ -1,17 +1,19 @@
 """Interpreter throughput: pre-decoded vs legacy step engines.
 
-The pre-decode tentpole claims that compiling ``program.code`` into
-per-pc specialized step closures -- plus kind-masked, allocation-free
-event emission -- makes the interpreter substantially faster without
-changing a single observable byte.  This benchmark pins the claim:
-steps/sec for both engines under three observer loads,
+Compiling ``program.code`` into per-pc specialized step closures --
+plus kind-masked row staging -- makes the interpreter substantially
+faster without changing a single observable byte.  This benchmark
+records steps/sec for both engines under three observer loads,
 
-* **0 observers** -- pure interpretation; the kind mask suppresses every
-  Event allocation.  Asserted: pre-decoded >= 2x legacy.
-* **trace only**  -- one full-stream recorder attached (the single-sink
-  fan-out bypass path).
+* **0 observers** -- pure interpretation; the kind mask stages nothing.
+* **trace only**  -- one full-stream recorder attached.
 * **full SVD**    -- the online detector attached; detector work bounds
-  the achievable speedup.  Asserted: pre-decoded >= 1.3x legacy.
+  the achievable speedup.
+
+and asserts absolute floors on the pre-decoded engine
+(``bench_gate.FLOORS["BENCH_interp.json"]``: 0-observers and full-SVD
+steps/sec); the legacy engine's numbers and the speedups over it are
+recorded for context only.
 
 Rounds are interleaved (best-of-5, like BENCH_obs) so CPU-frequency and
 cache drift hit every configuration equally.  Machine construction
@@ -28,6 +30,7 @@ import time
 import pytest
 
 from repro.core.online import OnlineSVD
+from repro.harness import bench_gate
 from repro.machine.scheduler import RandomScheduler
 from repro.trace.trace import TraceRecorder
 from repro.workloads import apache_log
@@ -36,9 +39,7 @@ OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
 
 ROUNDS = 5
 MAX_STEPS = 300_000
-#: acceptance floors (ISSUE 5): pre-decoded over legacy steps/sec
-MIN_SPEEDUP_BARE = 2.0
-MIN_SPEEDUP_SVD = 1.3
+FLOORS = bench_gate.FLOORS["BENCH_interp.json"]
 
 
 def _workload():
@@ -114,17 +115,15 @@ def test_interp_throughput(emit_result):
             for name, seconds in sorted(best.items())
         },
         "speedup": {},
-        "floors": {"0-observers": MIN_SPEEDUP_BARE,
-                   "full-svd": MIN_SPEEDUP_SVD},
+        "floors": dict(FLOORS),
     }
     for config, _make in CONFIGS:
         ratio = best[f"legacy/{config}"] / best[f"predecoded/{config}"]
         record["speedup"][config] = round(ratio, 3)
 
-    from repro.harness import bench_gate
     record = bench_gate.write_artefact(
         os.path.join(OUT_DIR, "BENCH_interp.json"), record)
     emit_result("interp_throughput", json.dumps(record, indent=2))
 
-    assert record["speedup"]["0-observers"] >= MIN_SPEEDUP_BARE, record
-    assert record["speedup"]["full-svd"] >= MIN_SPEEDUP_SVD, record
+    for check in bench_gate.check_record(record, FLOORS):
+        assert check.ok, (check, record)

@@ -90,12 +90,12 @@ class BerController:
         self.program = program
         self.svd_config = svd_config if svd_config is not None else SvdConfig()
         self.scheduler = SwitchableScheduler(scheduler)
-        # batch_events=False: the controller polls the SVD report after
-        # every single step to decide rollbacks, so its view of the
-        # detector must stay synchronous with execution -- batched
-        # delivery would defer violations to the next flush boundary
+        # batch_size=1: the controller polls the SVD report after every
+        # single step to decide rollbacks, so every emission must reach
+        # the detector at once -- a larger window would defer
+        # violations to the next flush boundary
         self.machine = Machine(program, threads, scheduler=self.scheduler,
-                               predecoded=predecoded, batch_events=False)
+                               predecoded=predecoded, batch_size=1)
         self.checkpoint_interval = checkpoint_interval
         self.recovery_window = recovery_window
         self.max_rollbacks = max_rollbacks

@@ -33,8 +33,8 @@ from repro.core.report import Violation, ViolationReport
 from repro.isa.instructions import Alu, Branch, Load, Reg, Store
 from repro.isa.program import Program
 from repro.machine.events import (
-    EV_ACQUIRE, EV_ALU, EV_BRANCH, EV_CRASH, EV_HALT, EV_JUMP, EV_LOAD,
-    EV_OUTPUT, EV_RELEASE, EV_STORE, EV_WAIT, Event, MachineObserver,
+    EV_ALU, EV_BRANCH, EV_CRASH, EV_HALT, EV_LOAD, EV_STORE, EV_WAIT,
+    MachineObserver,
 )
 
 
@@ -116,7 +116,6 @@ class _ThreadSvd:
         self._reconv = manager._reconv
         self._alu_ops = manager._alu_ops
         self._branch_cond = manager._branch_cond
-        self._last_writer = manager.last_writer  # dict, never replaced
         self.blocks: Dict[int, _Block] = {}
         self.regs: Dict[int, Set[Cu]] = {}
         self.ctrl_stack: List[Tuple[Set[Cu], int]] = []
@@ -202,37 +201,6 @@ class _ThreadSvd:
 
     # -- event handlers ------------------------------------------------------
 
-    def on_load(self, seq: int, loc: int, addr: int, block: int,
-                dest: int) -> None:
-        # (s, rw, lw) communication-triple logging (paper §2.3): a read
-        # that sees a remote write overwriting an earlier local write.
-        # The early-outs are inlined -- most loads have no foreign last
-        # writer and must not pay a call to find that out.
-        if self._log_comms:
-            remote = self._last_writer.get(block)
-            if remote is not None and remote[0] != self.tid:
-                local = self.local_writes.get(block)
-                if local is not None and local[0] < remote[1]:
-                    self.manager.log.add_entry(LogEntry(
-                        tid=self.tid, reader_seq=seq,
-                        reader_loc=loc, address=addr,
-                        remote_tid=remote[0], remote_seq=remote[1],
-                        remote_loc=remote[2], local_seq=local[0],
-                        local_loc=local[1]))
-        entry = self.blocks.get(block)
-        state = entry.state if entry is not None else IDLE
-        new_state, cut = _LOAD_STATE[state]
-        if cut:
-            self.deactivate(entry.cu, "stored-shared-load", seq)
-            entry = None  # the block was reset to Idle by the cut
-        if entry is None:
-            entry = self._track(block, self._new_cu(seq))
-        entry.state = new_state
-        cu = entry.cu.resolve()
-        cu.add_read(block)
-        self.regs[dest] = {cu}
-        self.last_access_cu = cu
-
     def on_store(self, seq: int, loc: int, block: int,
                  src_reg: Optional[int],
                  addr_reg: Optional[int]) -> None:
@@ -273,23 +241,6 @@ class _ThreadSvd:
         merged.add_write(block)
         self.local_writes[block] = (seq, loc)
         self.last_access_cu = merged
-
-    def on_alu(self, pc: int) -> None:
-        # the single hottest handler (ALU ops are ~half a typical event
-        # stream), so the no-dataflow case -- neither source register
-        # carries a tracked CU -- must not allocate or call anything
-        src1, src2, dest = self._alu_ops[pc]
-        regs = self.regs
-        cus1 = regs.get(src1) if src1 is not None else None
-        cus2 = regs.get(src2) if src2 is not None else None
-        if not cus1 and not cus2:
-            if dest in regs:
-                del regs[dest]  # equivalent to storing an empty set
-            return
-        result = self._resolved(cus1) if cus1 else set()
-        if cus2:
-            result |= self._resolved(cus2)
-        regs[dest] = result
 
     def on_branch(self, pc: int) -> None:
         if not self._use_ctrl_deps:
@@ -445,65 +396,25 @@ class OnlineSVD(MachineObserver):
 
     # -- event routing --------------------------------------------------------------
 
-    def on_event(self, event: Event) -> None:
-        self.instructions += 1
-        kind = event.kind
-        # inlined _thread(): the per-event fast path must not pay a
-        # method call for an almost-always-hit dict probe
-        detector = self.threads.get(event.tid)
-        if detector is None:
-            detector = self._thread(event.tid)
-        # inlined _pop_reconverged: runs on every event, so the empty /
-        # no-match cases must not pay a method call
-        stack = detector.ctrl_stack
-        if stack:
-            pc = event.pc
-            while stack and stack[-1][1] == pc:
-                stack.pop()
-        # dispatch ordered by observed kind frequency: ALU ~half of a
-        # typical stream, then LOAD, STORE, BRANCH
-        if kind == EV_ALU:
-            detector.on_alu(event.pc)
-        elif kind == EV_LOAD:
-            addr = event.addr
-            block = addr // self._block_size
-            detector.on_load(event.seq, event.loc, addr, block,
-                             self._load_dest[event.pc])
-            self._deliver_remote(block, False, event.seq, event.loc,
-                                 event.tid, addr)
-        elif kind == EV_STORE:
-            addr = event.addr
-            block = addr // self._block_size
-            src_reg, addr_reg = self._store_ops[event.pc]
-            detector.on_store(event.seq, event.loc, block, src_reg,
-                              addr_reg)
-            self._deliver_remote(block, True, event.seq, event.loc,
-                                 event.tid, addr)
-            self.last_writer[block] = (event.tid, event.seq, event.loc)
-        elif kind == EV_BRANCH:
-            detector.on_branch(event.pc)
-        elif kind == EV_WAIT and self.config.cut_at_wait:
-            for cu in list(detector.live_cus.values()):
-                detector.deactivate(cu, "wait", event.seq)
-        elif kind in (EV_HALT, EV_CRASH):
-            detector.on_thread_end(event.seq)
-        # JUMP / ACQUIRE / RELEASE / OUTPUT: synchronization and control
-        # transfer carry no dataflow for SVD (it ignores how
-        # synchronization is done); the reconvergence pop above is all
-        # that matters.
-
     def consume_batch(self, batch) -> None:
-        """Columnar fast path: the same routing as :meth:`on_event`,
-        one tight loop per window with every per-event attribute access
-        replaced by a column read (events are never materialized).
+        """Route one window of the global stream to the per-thread
+        detectors, one tight loop per window with every event field a
+        column read (events are never materialized).
+
+        Every event first pops the thread's reconverged control-stack
+        entries.  ALU, LOAD, STORE and BRANCH drive dataflow; WAIT cuts
+        the thread's CUs under ``cut_at_wait``; HALT/CRASH close them.
+        JUMP / ACQUIRE / RELEASE / OUTPUT carry no dataflow for SVD (it
+        ignores how synchronization is done).
 
         Two loop-level tricks on top of the scalar handlers: the
         columns are walked with one ``zip`` instead of per-column
         subscripts, and the per-thread detector (plus its never-
         reassigned ``ctrl_stack``/``regs`` objects) is re-fetched only
         when the tid actually changes -- scheduler quanta make runs of
-        the same thread the common case.  The ALU handler, roughly half
-        of a typical stream, is additionally inlined."""
+        the same thread the common case.  The ALU and LOAD handlers,
+        roughly two thirds of a typical stream, are additionally
+        inlined."""
         count = batch.count
         if not count:
             return
@@ -545,7 +456,9 @@ class OnlineSVD(MachineObserver):
                 while stack and stack[-1][1] == pc:
                     stack.pop()
             if kind == alu:
-                # inlined _ThreadSvd.on_alu
+                # the hottest handler (ALU ops are ~half a typical
+                # stream): the no-dataflow case -- neither source
+                # register carries a tracked CU -- allocates nothing
                 src1, src2, dest = alu_ops[pc]
                 cus1 = regs.get(src1) if src1 is not None else None
                 cus2 = regs.get(src2) if src2 is not None else None
@@ -559,7 +472,9 @@ class OnlineSVD(MachineObserver):
                     regs[dest] = result
             elif kind == load:
                 block = addr // block_size
-                # inlined _ThreadSvd.on_load (second-hottest handler)
+                # (s, rw, lw) communication-triple logging (paper
+                # §2.3): a read that sees a remote write overwriting
+                # an earlier local write
                 if log_comms:
                     remote = last_writer.get(block)
                     if remote is not None and remote[0] != tid:

@@ -39,7 +39,7 @@ from repro.core.cu import Cu
 from repro.core.online import OnlineSVD, SvdConfig
 from repro.core.report import Violation, ViolationReport
 from repro.isa.program import Program
-from repro.machine.events import EV_LOAD, EV_STORE, Event
+from repro.machine.events import EV_LOAD, EV_STORE
 
 
 class PreciseSVD(OnlineSVD):
@@ -48,11 +48,6 @@ class PreciseSVD(OnlineSVD):
     Drop-in replacement for :class:`OnlineSVD`; violations appear in
     :attr:`report` (detector name ``svd-precise``).
     """
-
-    #: opt out of the inherited columnar fast path: this class hooks
-    #: per-event routing (``on_event``), which the base consume_batch
-    #: loop would silently bypass
-    consume_batch = None
 
     def __init__(self, program: Program,
                  config: Optional[SvdConfig] = None) -> None:
@@ -122,7 +117,8 @@ class PreciseSVD(OnlineSVD):
         return False
 
     def _add_edge(self, src_uid: int, src_tid: int, src_loc: int,
-                  dst: Cu, event: Event) -> None:
+                  dst: Cu, seq: int, tid: int, loc: int,
+                  addr: int) -> None:
         src = self._canon_uid(src_uid)
         dst_uid = self._canon_uid(self._register(dst))
         if src == dst_uid:
@@ -135,8 +131,8 @@ class PreciseSVD(OnlineSVD):
         if self._reaches(dst_uid, src):
             self.report.add_once(
                 Violation(
-                    detector="svd-precise", seq=event.seq, tid=event.tid,
-                    loc=event.loc, address=event.addr,
+                    detector="svd-precise", seq=seq, tid=tid,
+                    loc=loc, address=addr,
                     kind="serializability-cycle",
                     other_loc=src_loc, other_tid=src_tid,
                     cu_birth_seq=dst.resolve().birth_seq),
@@ -146,28 +142,40 @@ class PreciseSVD(OnlineSVD):
 
     # -- event hook -----------------------------------------------------------
 
-    def on_event(self, event: Event) -> None:
-        super().on_event(event)
-        if event.kind not in (EV_LOAD, EV_STORE):
-            return
-        detector = self.threads[event.tid]
-        cu = detector.last_access_cu
+    def consume_batch(self, batch) -> None:
+        """Drive the inherited SVD state through sub-windows that each
+        end at a memory access, then extend the conflict graph from the
+        CU that access landed in."""
+        kinds = batch.kinds
+        start = 0
+        for i in range(batch.count):
+            kind = kinds[i]
+            if kind != EV_LOAD and kind != EV_STORE:
+                continue
+            OnlineSVD.consume_batch(self, batch.slice(start, i + 1))
+            start = i + 1
+            self._on_access(kind == EV_STORE, batch.seqs[i], batch.tids[i],
+                            batch.locs[i], batch.addrs[i])
+        if start < batch.count:
+            OnlineSVD.consume_batch(self, batch.slice(start, batch.count))
+
+    def _on_access(self, is_write: bool, seq: int, tid: int, loc: int,
+                   addr: int) -> None:
+        cu = self.threads[tid].last_access_cu
         if cu is None:
             return
         uid = self._register(cu)
-        block = event.addr // self.config.block_size
-        if event.kind == EV_LOAD:
-            writer = self._writer.get(block)
-            if writer is not None and writer[1] != event.tid:
-                self._add_edge(writer[0], writer[1], writer[2], cu, event)
-            self._readers.setdefault(block, {})[uid] = (
-                uid, event.tid, event.loc)
-        else:
-            writer = self._writer.get(block)
-            if writer is not None and writer[1] != event.tid:
-                self._add_edge(writer[0], writer[1], writer[2], cu, event)
-            for reader in self._readers.get(block, {}).values():
-                if reader[1] != event.tid:
-                    self._add_edge(reader[0], reader[1], reader[2], cu, event)
-            self._readers[block] = {}
-            self._writer[block] = (uid, event.tid, event.loc)
+        block = addr // self.config.block_size
+        writer = self._writer.get(block)
+        if writer is not None and writer[1] != tid:
+            self._add_edge(writer[0], writer[1], writer[2], cu,
+                           seq, tid, loc, addr)
+        if not is_write:
+            self._readers.setdefault(block, {})[uid] = (uid, tid, loc)
+            return
+        for reader in self._readers.get(block, {}).values():
+            if reader[1] != tid:
+                self._add_edge(reader[0], reader[1], reader[2], cu,
+                               seq, tid, loc, addr)
+        self._readers[block] = {}
+        self._writer[block] = (uid, tid, loc)

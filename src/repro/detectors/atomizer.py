@@ -36,8 +36,8 @@ from repro.core.report import Violation, ViolationReport
 from repro.detectors.lockset import LocksetDetector
 from repro.engine.analysis import Analysis
 from repro.machine.events import (
-    EV_ACQUIRE, EV_LOAD, EV_RELEASE, EV_STORE, EV_WAIT, Event,
-    MEMORY_KINDS, SYNC_KINDS,
+    EV_ACQUIRE, EV_LOAD, EV_RELEASE, EV_STORE, EV_WAIT, MEMORY_KINDS,
+    SYNC_KINDS,
 )
 from repro.trace.trace import Trace
 
@@ -84,51 +84,8 @@ class AtomizerDetector(Analysis):
         lockset_report = LocksetDetector(self.program).run(trace)
         return {violation.address for violation in lockset_report}
 
-    def on_event(self, event: Event) -> None:
-        state = self._blocks.get(event.tid)
-        if state is None:
-            state = _BlockState()
-            self._blocks[event.tid] = state
-        if event.kind == EV_ACQUIRE:
-            if state.depth == 0:
-                state.depth = 1
-                state.phase = PRE_COMMIT
-                state.entry_loc = event.loc
-                state.reported = False
-            else:
-                state.depth += 1
-                if state.phase == POST_COMMIT and not state.reported:
-                    state.reported = True
-                    self.report.add(Violation(
-                        detector="atomizer", seq=event.seq,
-                        tid=event.tid, loc=event.loc,
-                        address=event.addr,
-                        kind="atomicity-violation",
-                        other_loc=state.entry_loc))
-            return
-        if event.kind in (EV_RELEASE, EV_WAIT):
-            if state.depth > 0:
-                state.depth -= 1
-                state.phase = POST_COMMIT  # a left mover commits the block
-            return
-        if state.depth == 0:
-            return
-        if event.addr in self._exposed:
-            # non-mover inside an atomic block
-            if state.phase == POST_COMMIT:
-                if not state.reported:
-                    state.reported = True
-                    self.report.add(Violation(
-                        detector="atomizer", seq=event.seq,
-                        tid=event.tid, loc=event.loc,
-                        address=event.addr,
-                        kind="atomicity-violation",
-                        other_loc=state.entry_loc))
-            else:
-                state.phase = POST_COMMIT
-
     def consume_batch(self, batch) -> None:
-        """Columnar fast path: identical routing to :meth:`on_event`,
+        """Run one window through the per-thread atomic-block states,
         with an explicit kind filter up front (the shared window also
         carries kinds outside this detector's interests)."""
         blocks = self._blocks
@@ -190,10 +147,7 @@ class AtomizerDetector(Analysis):
         """Standalone two-pass run: private exposure pass, then check."""
         self.start(trace.n_threads)
         self._exposed = self._race_exposed(trace)
-        interests = self.interests
-        on_event = self.on_event
-        for event in trace:
-            if event.kind in interests:
-                on_event(event)
+        for batch in trace.batches():
+            self.consume_batch(batch)
         self.finish(trace.end_seq)
         return self.report

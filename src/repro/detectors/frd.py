@@ -146,41 +146,12 @@ class FrontierRaceDetector(Analysis):
             vc = self._snapshots[tid] = self._clocks[tid].copy()
         return vc
 
-    def on_event(self, event: Event) -> None:
-        tid = event.tid
-        clocks = self._clocks
-        if event.kind == EV_ACQUIRE:
-            held = self._lock_clocks.get(event.addr)
-            if held is not None:
-                clocks[tid].join(held)
-                self._snapshots[tid] = None
-        elif event.kind in (EV_RELEASE, EV_WAIT):
-            # a Wait atomically releases the lock, so it carries the
-            # same happens-before edge as a Release; the wake-up side
-            # re-acquires and joins the lock clock via its ACQUIRE
-            self._lock_clocks[event.addr] = self._snapshot(tid)
-            clocks[tid].tick(tid)
-            self._snapshots[tid] = None
-        elif event.kind == EV_LOAD:
-            prev = self._last_write.get(event.addr)
-            if prev is not None:
-                self._race(prev, tid, event.seq, event.loc, event.addr)
-            self._reads.setdefault(event.addr, []).append(
-                (tid, self._snapshot(tid), event.seq, event.loc))
-        elif event.kind == EV_STORE:
-            prev = self._last_write.get(event.addr)
-            if prev is not None:
-                self._race(prev, tid, event.seq, event.loc, event.addr)
-            for read in self._reads.get(event.addr, ()):
-                self._race(read, tid, event.seq, event.loc, event.addr)
-            self._reads[event.addr] = []
-            self._last_write[event.addr] = (
-                tid, self._snapshot(tid), event.seq, event.loc)
-
     def consume_batch(self, batch) -> None:
-        """Columnar fast path: :meth:`on_event` unrolled over a shared
-        mixed-kind window (kinds outside :attr:`interests` fall through
-        the dispatch chain untouched)."""
+        """Advance the vector clocks over one shared mixed-kind window
+        (kinds outside :attr:`interests` fall through the dispatch
+        chain untouched).  A Wait atomically releases its lock, so it
+        carries the same happens-before edge as a Release; the woken
+        side re-acquires and joins the lock clock via its ACQUIRE."""
         clocks = self._clocks
         lock_clocks = self._lock_clocks
         last_write = self._last_write
@@ -236,10 +207,7 @@ class FrontierRaceDetector(Analysis):
     def run(self, trace: Trace) -> ViolationReport:
         """Standalone one-shot: stream ``trace`` and return the report."""
         self.start(trace.n_threads)
-        interests = self.interests
-        on_event = self.on_event
-        for event in trace:
-            if event.kind in interests:
-                on_event(event)
+        for batch in trace.batches():
+            self.consume_batch(batch)
         self.finish(trace.end_seq)
         return self.report

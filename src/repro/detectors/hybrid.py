@@ -48,9 +48,6 @@ class HybridRaceDetector(Analysis):
     def start(self, n_threads: int) -> None:
         self.report = ViolationReport("hybrid", self.program)
 
-    def on_event(self, event) -> None:  # pragma: no cover - no interests
-        pass
-
     def finish(self, end_seq: int) -> None:
         assert self._lockset is not None and self._frd is not None
         self._compose(self._lockset.report, self._frd.report)

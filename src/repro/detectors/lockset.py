@@ -25,8 +25,8 @@ from typing import Dict, Optional, Set
 from repro.core.report import Violation, ViolationReport
 from repro.engine.analysis import Analysis
 from repro.machine.events import (
-    EV_ACQUIRE, EV_LOAD, EV_RELEASE, EV_STORE, EV_WAIT, Event,
-    MEMORY_KINDS, SYNC_KINDS,
+    EV_ACQUIRE, EV_LOAD, EV_RELEASE, EV_STORE, EV_WAIT, MEMORY_KINDS,
+    SYNC_KINDS,
 )
 from repro.trace.trace import Trace
 
@@ -60,42 +60,10 @@ class LocksetDetector(Analysis):
         self._held = {}
         self._addrs = {}
 
-    def on_event(self, event: Event) -> None:
-        tid = event.tid
-        if event.kind == EV_ACQUIRE:
-            self._held.setdefault(tid, set()).add(event.addr)
-            return
-        if event.kind in (EV_RELEASE, EV_WAIT):
-            self._held.setdefault(tid, set()).discard(event.addr)
-            return
-
-        entry = self._addrs.setdefault(event.addr, _AddrState())
-        is_write = event.kind == EV_STORE
-        if entry.state == VIRGIN:
-            entry.state = EXCLUSIVE
-            entry.owner = tid
-            return
-        if entry.state == EXCLUSIVE:
-            if tid == entry.owner:
-                return
-            entry.state = SHARED_MODIFIED if is_write else SHARED
-            entry.candidates = set(self._held.get(tid, ()))
-        else:
-            if is_write:
-                entry.state = SHARED_MODIFIED
-            assert entry.candidates is not None
-            entry.candidates &= self._held.get(tid, set())
-
-        if entry.state == SHARED_MODIFIED and not entry.candidates:
-            self.report.add_once(
-                Violation(detector="lockset", seq=event.seq, tid=tid,
-                          loc=event.loc, address=event.addr,
-                          kind="lockset-empty"),
-                key=("lockset-empty", event.addr))
-
     def consume_batch(self, batch) -> None:
-        """Columnar fast path over a shared mixed-kind window: the sync
-        kinds and the Eraser FSM inline; every other kind skips."""
+        """Run one shared mixed-kind window through the held-lock sets
+        and the Eraser FSM; every other kind skips.  A Wait releases
+        its lock like a Release."""
         held_by = self._held
         addr_states = self._addrs
         load = EV_LOAD
@@ -153,10 +121,7 @@ class LocksetDetector(Analysis):
     def run(self, trace: Trace) -> ViolationReport:
         """Standalone one-shot: stream ``trace`` and return the report."""
         self.start(trace.n_threads)
-        interests = self.interests
-        on_event = self.on_event
-        for event in trace:
-            if event.kind in interests:
-                on_event(event)
+        for batch in trace.batches():
+            self.consume_batch(batch)
         self.finish(trace.end_seq)
         return self.report

@@ -19,11 +19,18 @@ can multiplex a single normalized event stream to all of them at once:
   whole trace at once; the engine hands them the recorded trace at
   finish time rather than buffering a private copy per analysis.
 
+Delivery: an analysis implements ``consume_batch(batch)`` and receives
+the phase's stream as mixed-kind
+:class:`~repro.machine.batch.EventBatch` windows in global order.  An
+analysis that is genuinely per-event leaves ``consume_batch`` None and
+implements ``on_event`` instead; the engine then synthesizes one
+``on_event`` call per event of an interesting kind, in seq order.
+
 Lifecycle, driven by the engine: ``resolve()`` (dependency injection,
-before any streaming) -> ``start()`` -> ``on_event()`` for each
-interesting event of the analysis's scheduled phase -> ``finish()``.
-Dependencies are only *read* in ``start``/``finish``, never in
-``resolve`` -- at resolve time the dependency has not run yet.
+before any streaming) -> ``start()`` -> windows (or synthesized events)
+of the analysis's scheduled phase -> ``finish()``.  Dependencies are
+only *read* in ``start``/``finish``, never in ``resolve`` -- at resolve
+time the dependency has not run yet.
 """
 
 from __future__ import annotations
@@ -49,14 +56,13 @@ class Analysis:
     #: True for batch algorithms that consume a whole recorded trace;
     #: the engine calls :meth:`set_trace` before :meth:`finish`
     wants_trace: bool = False
-    #: optional fast path: a callable taking one
-    #: :class:`repro.machine.batch.EventBatch` (mixed-kind, global
-    #: order -- the consumer dispatches on ``batch.kinds`` and ignores
-    #: alien kinds).  None means per-event only: the dispatcher then
-    #: synthesizes :meth:`on_event` calls from each batch, preserving
-    #: exact seq order and fault ordinals.  Declaring it is a contract
-    #: that consuming a batch is observationally identical to receiving
-    #: its events one at a time.
+    #: a callable taking one :class:`repro.machine.batch.EventBatch`
+    #: (mixed-kind, global order -- the consumer dispatches on
+    #: ``batch.kinds`` and ignores alien kinds).  None means per-event
+    #: only: the dispatcher then synthesizes :meth:`on_event` calls from
+    #: each batch, preserving exact seq order.  Declaring it is a
+    #: contract that the result does not depend on where window
+    #: boundaries fall.
     consume_batch = None
 
     def resolve(self, name: str, dependency: "Analysis") -> None:
@@ -66,6 +72,7 @@ class Analysis:
         """Reset per-run state; called before this analysis's pass."""
 
     def on_event(self, event: Event) -> None:
+        """Receive one event (per-event analyses only)."""
         raise NotImplementedError
 
     def set_trace(self, trace) -> None:
@@ -99,10 +106,7 @@ class ObserverAnalysis(Analysis):
     def __init__(self, name: str, observer) -> None:
         self.name = name
         self.observer = observer
-        self.on_event = observer.on_event  # direct dispatch, no hop
-        consume = getattr(observer, "consume_batch", None)
-        if callable(consume):
-            self.consume_batch = consume  # batched fast path, same hop
+        self.consume_batch = observer.consume_batch  # direct, no hop
 
     def finish(self, end_seq: int) -> None:
         finish = getattr(self.observer, "finish", None)
@@ -143,9 +147,6 @@ class TraceAnalysis(Analysis):
 
     def set_trace(self, trace) -> None:
         self._trace = trace
-
-    def on_event(self, event: Event) -> None:  # pragma: no cover - unused
-        pass
 
     def finish(self, end_seq: int) -> None:
         if self._trace is None:

@@ -20,11 +20,13 @@ analyses subscribe to no events at all (pure composition, e.g. the
 hybrid detector) is *skipped* entirely: its analyses are finished
 without another pass over the stream.
 
-Dispatch.  Per phase the engine builds an event-kind dispatch table
-(``kind -> [bound on_event callbacks]``) from each analysis's
-:attr:`interests`, hoisting the per-detector "do I care about this
-event?" checks out of every hot loop; an event reaches exactly the
-analyses that want its kind, in registration order.
+Dispatch.  Events arrive as :class:`~repro.machine.batch.EventBatch`
+windows -- the machine's flushes, or slices of a recorded trace.  An
+analysis that declares ``consume_batch`` receives each window in one
+call (skipped when the window holds none of its :attr:`interests`);
+for analyses that are per-event only the engine synthesizes
+``on_event`` calls in seq order through an event-kind dispatch table,
+so an event reaches exactly the analyses that want its kind.
 
 :class:`EngineStats` records, per phase, how many events were read from
 the source and how many callbacks were dispatched -- the event-count
@@ -36,7 +38,7 @@ visible wherever a report travels.
 Observability.  When :mod:`repro.obs` is active the engine wraps the
 machine run and every phase in spans and publishes ``engine.*`` metrics
 (events read/dispatched, per-event-kind counts, per-analysis dispatch
-counts).  The per-event counting lives in a dispatcher subclass that is
+counts).  The per-kind counting lives in a dispatcher subclass that is
 only selected while metrics are on; with observability off the hot loop
 is byte-for-byte the uninstrumented dispatch.
 """
@@ -71,20 +73,25 @@ def _failure(analysis_name: str, phase: int, stage: str, event_index: int,
 
 
 class _PhaseDispatcher(MachineObserver):
-    """Routes one phase's events through a per-kind callback table.
+    """Routes one phase's event windows to its analyses.
 
-    An analysis whose callback raises is *quarantined*: its callbacks
-    are dropped from the table, an :class:`AnalysisFailure` is recorded
-    in :attr:`failures`, and the event continues to the remaining
-    callbacks.  The hot loop pays nothing for this until an exception
-    actually occurs (one ``try`` around the dispatch loop; CPython 3.11
-    zero-cost exceptions).
+    Analyses declaring ``consume_batch`` receive each shared window in
+    one call.  The rest -- analyses that really are per-event, and any
+    analysis targeted by an ``analysis.raise`` fault -- get synthesized
+    per-event calls through a per-kind callback table, in exact seq
+    order; a targeted batch analysis is fed one-row windows there, so
+    its fault ordinal and failure index count single events.
+
+    An analysis that raises is *quarantined*: it is dropped from the
+    tables, an :class:`AnalysisFailure` is recorded in
+    :attr:`failures`, and delivery continues to the remaining analyses.
+    The hot loop pays nothing for this until an exception actually
+    occurs (one ``try`` around each dispatch; CPython 3.11 zero-cost
+    exceptions).
     """
 
     def __init__(self, analyses: Sequence[Analysis],
-                 phase_index: int = 0, batched: bool = True,
-                 program=None) -> None:
-        handlers: List[List] = [[] for _ in range(N_KINDS)]
+                 phase_index: int = 0, program=None) -> None:
         synth_handlers: List[List] = [[] for _ in range(N_KINDS)]
         batch_handlers: List[Tuple] = []
         owners: Dict[int, Analysis] = {}
@@ -92,44 +99,35 @@ class _PhaseDispatcher(MachineObserver):
         raise_faults = ({f.target: f for f in plan.analysis_faults()}
                         if plan is not None else {})
         for analysis in analyses:
-            callback = analysis.on_event
+            consume = analysis.consume_batch
             fault = raise_faults.get(analysis.name)
+            if fault is None and consume is not None:
+                batch_handlers.append(
+                    (analysis, consume,
+                     None if analysis.interests is None
+                     else tuple(analysis.interests)))
+                continue
+            callback = (analysis.on_event if consume is None
+                        else _one_row_windows(consume))
             if fault is not None:
                 callback = RaisingCallback(fault, callback)
             owners[id(callback)] = analysis
             kinds = (range(N_KINDS) if analysis.interests is None
                      else analysis.interests)
             for kind in kinds:
-                handlers[kind].append(callback)
-            # fault-targeted analyses stay on the per-event path: the
-            # RaisingCallback's per-call ordinal and the failure's
-            # event_index/seq must match an unbatched run exactly
-            if (batched and fault is None
-                    and callable(getattr(analysis, "consume_batch", None))):
-                batch_handlers.append(
-                    (analysis, analysis.consume_batch,
-                     None if analysis.interests is None
-                     else tuple(analysis.interests)))
-            else:
-                for kind in kinds:
-                    synth_handlers[kind].append(callback)
-        self.handlers = handlers
+                synth_handlers[kind].append(callback)
         self._synth_handlers = synth_handlers
         self._batch_handlers = batch_handlers
         self._program = program
         self.batches_consumed = 0
-        if not batch_handlers:
-            # disarm batched delivery entirely (the machine's batching
-            # gate tests this attribute): with no batch-path analysis
-            # there is nothing to gain over plain per-event dispatch
-            self.consume_batch = None
-        #: kind mask folded from the phase's analyses: the machine skips
-        #: Event construction for kinds outside it.  Fixed at attach
-        #: time -- quarantining an analysis later never shrinks it.
-        self.interests = (frozenset(kind for kind in range(N_KINDS)
-                                    if handlers[kind])
-                          if all(a.interests is not None for a in analyses)
-                          else None)
+        #: kind mask folded from the phase's analyses: the machine does
+        #: not stage kinds outside it.  Fixed at attach time --
+        #: quarantining an analysis later never shrinks it.
+        self.interests = (None if any(a.interests is None for a in analyses)
+                          else frozenset().union(
+                              *(a.interests for a in analyses)))
+        #: does any analysis of the phase read events at all?
+        self.any_subscribers = self.interests is None or bool(self.interests)
         self.phase_index = phase_index
         self.events_read = 0
         self.events_dispatched = 0
@@ -137,27 +135,11 @@ class _PhaseDispatcher(MachineObserver):
         #: analysis name -> AnalysisFailure, in quarantine order
         self.failures: Dict[str, AnalysisFailure] = {}
 
-    @property
-    def any_subscribers(self) -> bool:
-        return any(self.handlers)
-
-    def on_event(self, event) -> None:
-        self.events_read += 1
-        callbacks = self.handlers[event.kind]
-        if callbacks:
-            self.events_dispatched += len(callbacks)
-            try:
-                for callback in callbacks:
-                    callback(event)
-            except Exception as exc:
-                self._absorb(callbacks, callback, event, exc)
-
     def consume_batch(self, batch: EventBatch) -> None:
-        """Batched delivery: per-event-only analyses first (synthesized
-        :meth:`on_event` calls in exact seq order -- their view is
-        indistinguishable from an unbatched run, including quarantine
-        indices and fault ordinals), then one call per batch-path
-        analysis with the shared mixed-kind window."""
+        """Deliver one window: synthesized per-event calls first (exact
+        seq order -- quarantine indices and fault ordinals count single
+        events), then one call per batch analysis with the shared
+        mixed-kind window."""
         self.batches_consumed += 1
         count = batch.count
         if any(self._synth_handlers):
@@ -188,8 +170,7 @@ class _PhaseDispatcher(MachineObserver):
                 for kind in kinds:
                     fed += kind_counts[kind]
                 if not fed:
-                    # per-event dispatch would not have called this
-                    # analysis for any event in the window
+                    # no event of the window is of a kind it reads
                     continue
             self.events_dispatched += fed
             try:
@@ -215,70 +196,55 @@ class _PhaseDispatcher(MachineObserver):
             analysis.name, self.phase_index, "event",
             self.events_read - 1, event.seq, exc)
         obs.add("engine.analysis_quarantined")
-        # rebuild the tables as NEW list objects so any in-flight
+        # rebuild the table as NEW list objects so any in-flight
         # iteration over the old lists is unaffected
         dead = id(callback)
-        self.handlers = [[cb for cb in lst if id(cb) != dead]
-                         for lst in self.handlers]
         self._synth_handlers = [[cb for cb in lst if id(cb) != dead]
                                 for lst in self._synth_handlers]
 
     def _quarantine_batch(self, analysis: Analysis, base: int,
                           batch: EventBatch, exc: Exception) -> None:
-        """Quarantine a batch-path analysis: the failure is anchored at
-        the first event of the window it was consuming (somewhere past
-        that point is where it actually raised)."""
+        """Quarantine a batch analysis: the failure is anchored at the
+        first event of the window it was consuming (somewhere past that
+        point is where it actually raised)."""
         seq = batch.seqs[0] if batch.count else -1
         self.failures[analysis.name] = _failure(
             analysis.name, self.phase_index, "batch", base, seq, exc)
         obs.add("engine.analysis_quarantined")
         self._batch_handlers = [entry for entry in self._batch_handlers
                                 if entry[0] is not analysis]
-        dead = next((cb_id for cb_id, owner in self._owners.items()
-                     if owner is analysis), -1)
-        self.handlers = [[cb for cb in lst if id(cb) != dead]
-                         for lst in self.handlers]
+
+
+def _one_row_windows(consume):
+    """Per-event adapter for a batch analysis: each event becomes a
+    one-row window."""
+    def feed(event) -> None:
+        consume(EventBatch.from_events((event,)))
+    return feed
 
 
 class _CountingPhaseDispatcher(_PhaseDispatcher):
     """Per-event-kind accounting, selected only while metrics are on."""
 
     def __init__(self, analyses: Sequence[Analysis],
-                 phase_index: int = 0, batched: bool = True,
-                 program=None) -> None:
-        super().__init__(analyses, phase_index, batched, program)
+                 phase_index: int = 0, program=None) -> None:
+        super().__init__(analyses, phase_index, program)
         self.kind_counts = [0] * N_KINDS
-        self.batch_kind_counts = [0] * N_KINDS
-
-    def on_event(self, event) -> None:
-        self.events_read += 1
-        self.kind_counts[event.kind] += 1
-        callbacks = self.handlers[event.kind]
-        if callbacks:
-            self.events_dispatched += len(callbacks)
-            try:
-                for callback in callbacks:
-                    callback(event)
-            except Exception as exc:
-                self._absorb(callbacks, callback, event, exc)
 
     def consume_batch(self, batch: EventBatch) -> None:
         kc = self.kind_counts
-        bc = self.batch_kind_counts
         for kind, count in enumerate(batch.kind_counts()):
             if count:
                 kc[kind] += count
-                bc[kind] += count
         _PhaseDispatcher.consume_batch(self, batch)
 
 
 def _make_dispatcher(analyses: Sequence[Analysis],
-                     phase_index: int = 0, batched: bool = True,
+                     phase_index: int = 0,
                      program=None) -> _PhaseDispatcher:
     if obs.metrics_enabled():
-        return _CountingPhaseDispatcher(analyses, phase_index, batched,
-                                        program)
-    return _PhaseDispatcher(analyses, phase_index, batched, program)
+        return _CountingPhaseDispatcher(analyses, phase_index, program)
+    return _PhaseDispatcher(analyses, phase_index, program)
 
 
 @dataclass
@@ -359,21 +325,18 @@ class DetectorEngine:
             run; more can be added with :meth:`add` before the run.
         svd_config: configuration handed to registry factories that
             build SVD-family detectors.
+        batch_size: window size when replaying a recorded trace.
 
     An engine instance drives exactly one execution; build a fresh one
     per run.
     """
 
     def __init__(self, program, detectors: Sequence[Union[str, Analysis]] = (),
-                 svd_config=None, batched: bool = True,
+                 svd_config=None,
                  batch_size: int = DEFAULT_BATCH_SIZE) -> None:
         self.program = program
         self.svd_config = svd_config
-        #: feed columnar EventBatch windows to analyses that declare
-        #: ``consume_batch`` (per-event delivery is synthesized for the
-        #: rest); False forces pure per-event dispatch everywhere --
-        #: the differential reference
-        self._batched = batched
+        #: window size of trace replays (live runs use the machine's)
         self._batch_size = batch_size
         self._analyses: Dict[str, Analysis] = {}
         self._requested: List[str] = []
@@ -474,9 +437,9 @@ class DetectorEngine:
             machine.add_observer(recorder)
 
         started = self._start_phase(phases[0], 0, n_threads)
-        dispatcher = _make_dispatcher(started, 0, self._batched,
-                                      self.program)
-        machine.add_observer(dispatcher)
+        dispatcher = _make_dispatcher(started, 0, self.program)
+        if dispatcher.any_subscribers:
+            machine.add_observer(dispatcher)
         with obs.span("engine.phase", phase=0,
                       analyses="+".join(a.name for a in phases[0])):
             with obs.span("machine.run"):
@@ -554,17 +517,11 @@ class DetectorEngine:
         with obs.span("engine.phase", phase=index,
                       analyses="+".join(a.name for a in analyses)):
             started = self._start_phase(analyses, index, n_threads)
-            dispatcher = _make_dispatcher(started, index, self._batched,
-                                          self.program)
+            dispatcher = _make_dispatcher(started, index, self.program)
             if dispatcher.any_subscribers:
-                if dispatcher._batch_handlers:
-                    consume = dispatcher.consume_batch
-                    for batch in trace.batches(self._batch_size):
-                        consume(batch)
-                else:
-                    on_event = dispatcher.on_event
-                    for event in trace:
-                        on_event(event)
+                consume = dispatcher.consume_batch
+                for batch in trace.batches(self._batch_size):
+                    consume(batch)
             self._finish_phase(started, dispatcher, stats, index, end_seq,
                                trace)
 
@@ -618,14 +575,6 @@ class DetectorEngine:
         if dispatcher.batches_consumed:
             registry.counter("engine.batch_flushed").inc(
                 dispatcher.batches_consumed)
-            batch_kind_counts = dispatcher.batch_kind_counts
-            registry.counter("engine.batch_events").inc(
-                sum(batch_kind_counts))
-            for kind, count in enumerate(batch_kind_counts):
-                if count:
-                    registry.counter(
-                        f"engine.batch_events.kind.{KIND_NAMES[kind]}"
-                    ).inc(count)
         for analysis in analyses:
             kinds = (range(N_KINDS) if analysis.interests is None
                      else analysis.interests)
@@ -704,8 +653,9 @@ class MachineDrive:
         self._started = engine._start_phase(self._phases[0], 0,
                                             self._n_threads)
         self._dispatcher = _make_dispatcher(self._started, 0,
-                                            engine._batched, engine.program)
-        machine.add_observer(self._dispatcher)
+                                            engine.program)
+        if self._dispatcher.any_subscribers:
+            machine.add_observer(self._dispatcher)
         self._done = False
 
     @property

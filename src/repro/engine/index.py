@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Dict, Set
 
 from repro.engine.analysis import Analysis
-from repro.machine.events import EV_LOAD, EV_STORE, MEMORY_KINDS, Event
+from repro.machine.events import EV_LOAD, EV_STORE, MEMORY_KINDS
 
 
 class SharedAddressIndex(Analysis):
@@ -38,17 +38,9 @@ class SharedAddressIndex(Analysis):
         self.access_counts = {}
         self.shared_addresses = set()
 
-    def on_event(self, event: Event) -> None:
-        addr = event.addr
-        accessors = self.accessors.get(addr)
-        if accessors is None:
-            accessors = self.accessors[addr] = set()
-        accessors.add(event.tid)
-        self.access_counts[addr] = self.access_counts.get(addr, 0) + 1
-
     def consume_batch(self, batch) -> None:
-        """Columnar fast path: index the window's memory accesses (the
-        shared window carries other kinds too; they are skipped)."""
+        """Index the window's memory accesses (the shared window carries
+        other kinds too; they are skipped)."""
         accessors_by_addr = self.accessors
         counts = self.access_counts
         load = EV_LOAD
@@ -69,8 +61,7 @@ class SharedAddressIndex(Analysis):
     def run(self, trace) -> Set[int]:
         """Standalone convenience: index ``trace``, return the shared set."""
         self.start(trace.n_threads)
-        for event in trace:
-            if event.kind in MEMORY_KINDS:
-                self.on_event(event)
+        for batch in trace.batches():
+            self.consume_batch(batch)
         self.finish(trace.end_seq)
         return self.shared_addresses

@@ -2,15 +2,15 @@
 
 Four hook families, matching the plan's site families:
 
-* :class:`StreamInjector` -- wraps the machine's event fan-out
-  (``Machine._emit``), transforming the event stream in flight;
-  :func:`apply_to_trace` is the same transformation over an already
-  recorded :class:`repro.trace.Trace` (applied once, so a multi-phase
-  engine replay sees one consistently faulted stream, not a re-roll
-  per phase).
-* :class:`RaisingCallback` -- wraps one analysis's ``on_event`` so it
-  raises :class:`InjectedFault` at the Nth event dispatched to it; the
-  engine's quarantine path must absorb it.
+* :class:`StreamInjector` -- transforms the machine's staged event
+  rows at every flush (``Machine.flush_events``), so observers see the
+  faulted stream; :func:`apply_to_trace` is the same transformation
+  over an already recorded :class:`repro.trace.Trace` (applied once, so
+  a multi-phase engine replay sees one consistently faulted stream, not
+  a re-roll per phase).
+* :class:`RaisingCallback` -- wraps one analysis's per-event callback
+  so it raises :class:`InjectedFault` at the Nth event dispatched to
+  it; the engine's quarantine path must absorb it.
 * :func:`corrupt_trace_file` -- scribbles over / truncates records of
   a *saved* trace file, to exercise the salvaging reader.
 * :func:`apply_worker_fault` -- run inside a pool worker child just
@@ -25,37 +25,39 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Callable, List, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from repro.faults.plan import Fault, FaultPlan, InjectedFault
+from repro.machine.batch import EventBatch
 from repro.machine.events import Event
 
 __all__ = ["StreamInjector", "RaisingCallback", "apply_to_trace",
            "corrupt_trace_file", "apply_worker_fault", "InjectedFault"]
 
 
-def _corrupted_copy(event: Event, plan: FaultPlan, position: int) -> Event:
-    """A mutated copy of ``event``: seeded scribble over value and (for
-    memory accesses) address -- the kinds of damage a lost DMA or torn
-    write would do to a trace record."""
+def _corrupted_row(row: Tuple, plan: FaultPlan, position: int) -> Tuple:
+    """A mutated copy of one staged row: seeded scribble over value and
+    (for memory accesses) address -- the kinds of damage a lost DMA or
+    torn write would do to a trace record."""
+    kind, seq, tid, pc, loc, addr, value, taken, target = row
     rng = plan.corruption_rng(position)
-    addr = event.addr
     if addr >= 0:
         addr = rng.randrange(0, max(2 * addr + 2, 64))
-    value = event.value ^ rng.getrandbits(16)
-    return Event(event.kind, event.seq, event.tid, event.pc, event.instr,
-                 addr=addr, value=value, taken=event.taken,
-                 target=event.target)
+    value = value ^ rng.getrandbits(16)
+    return (kind, seq, tid, pc, loc, addr, value, taken, target)
 
 
 class StreamInjector:
-    """Transforms a live event stream according to the plan's
-    ``stream.*`` faults, addressed by emission ordinal (0-based count of
-    events emitted, which unlike ``event.seq`` never rewinds under BER
-    rollback)."""
+    """Transforms an event stream according to the plan's ``stream.*``
+    faults, addressed by emission ordinal (0-based count of events
+    emitted, which unlike ``seq`` never rewinds under BER rollback).
 
-    __slots__ = ("_plan", "_by_ordinal", "_truncate_at", "_ordinal",
-                 "_dead")
+    Works on the staged row tuples of :mod:`repro.machine.batch`: the
+    machine runs every flushed window through :meth:`transform`, and
+    :func:`apply_to_trace` runs a recorded trace through the same
+    method."""
+
+    __slots__ = ("_plan", "_by_ordinal", "_truncate_at", "_ordinal")
 
     def __init__(self, plan: FaultPlan) -> None:
         self._plan = plan
@@ -69,27 +71,26 @@ class StreamInjector:
             else:
                 self._by_ordinal[fault.at] = fault
         self._ordinal = 0
-        self._dead = False
 
-    def transform(self, event: Event) -> Tuple[Event, ...]:
-        """The (possibly empty) events observers should see in place of
-        ``event``."""
-        ordinal = self._ordinal
-        self._ordinal = ordinal + 1
-        if self._dead:
-            return ()
-        if self._truncate_at is not None and ordinal >= self._truncate_at:
-            self._dead = True
-            return ()
-        fault = self._by_ordinal.get(ordinal)
-        if fault is None:
-            return (event,)
-        if fault.site == "stream.drop":
-            return ()
-        if fault.site == "stream.dup":
-            return (event,) * (1 + max(1, fault.count))
-        # stream.corrupt
-        return (_corrupted_copy(event, self._plan, ordinal),)
+    def transform(self, rows: Sequence[Tuple]) -> List[Tuple]:
+        """The rows observers should see in place of ``rows`` (the
+        next ``len(rows)`` emissions)."""
+        first = self._ordinal
+        self._ordinal = first + len(rows)
+        if self._truncate_at is not None:
+            rows = rows[:max(0, self._truncate_at - first)]
+        by_ordinal = self._by_ordinal
+        out: List[Tuple] = []
+        for ordinal, row in enumerate(rows, first):
+            fault = by_ordinal.get(ordinal)
+            if fault is None:
+                out.append(row)
+            elif fault.site == "stream.dup":
+                out.extend((row,) * (1 + max(1, fault.count)))
+            elif fault.site == "stream.corrupt":
+                out.append(_corrupted_row(row, self._plan, ordinal))
+            # stream.drop: nothing
+        return out
 
 
 def apply_to_trace(trace, plan: FaultPlan):
@@ -98,15 +99,14 @@ def apply_to_trace(trace, plan: FaultPlan):
     count) with the plan's ``stream.*`` faults applied once."""
     from repro.trace.trace import Trace
 
-    injector = StreamInjector(plan)
-    events: List[Event] = []
-    for event in trace:
-        events.extend(injector.transform(event))
+    rows = StreamInjector(plan).transform(
+        list(EventBatch.from_events(trace.events).rows()))
+    events = EventBatch.from_rows(rows).to_events(trace.program)
     return Trace(trace.program, events, trace.n_threads)
 
 
 class RaisingCallback:
-    """Wraps one analysis's ``on_event`` so the ``at``-th event
+    """Wraps one analysis's per-event callback so the ``at``-th event
     dispatched to it raises :class:`InjectedFault`.
 
     One instance wraps one analysis; the engine installs the same

@@ -57,14 +57,6 @@ class ConflictProfiler(MachineObserver):
         self._writers: Dict[int, Set[int]] = defaultdict(set)
         self._pcs: Dict[int, Set[int]] = defaultdict(set)
 
-    def on_event(self, event) -> None:
-        addr = event.addr
-        if event.kind == EV_STORE:
-            self._writers[addr].add(event.tid)
-        else:
-            self._readers[addr].add(event.tid)
-        self._pcs[addr].add(event.pc)
-
     def consume_batch(self, batch) -> None:
         readers, writers, pcs = self._readers, self._writers, self._pcs
         for kind, tid, pc, addr in zip(batch.kinds, batch.tids,

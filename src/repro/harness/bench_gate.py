@@ -22,16 +22,20 @@ from typing import Dict, List, Mapping, Tuple
 
 #: pinned floors per artefact basename.
 #:
-#: ``BENCH_engine.json``: ``speedup`` is the headline claim of the
-#: batched dispatch pipeline -- one single-pass engine run with the full
-#: 4-detector set must beat feeding each detector its own per-event
-#: engine by at least 1.5x.  ``campaign.events_per_sec`` pins end-to-end
-#: ``repro campaign`` throughput (recorded ~200k ev/s on the reference
-#: box; the floor is half that, absorbing CI machine variance while
-#: still catching a 2x regression).
+#: Every floor is an absolute throughput, set at about half the
+#: lowest of three runs on the reference box (2 vCPUs), so it absorbs
+#: CI machine variance while still catching a 2x regression.  No floor
+#: is a ratio against a reference implementation: such ratios measured
+#: the reference as much as the code under test, and flaked.
 #:
-#: ``BENCH_interp.json``: the pre-decoded interpreter's speedups over
-#: the legacy engine, same floors the benchmark itself asserts.
+#: ``BENCH_engine.json``: ``single_pass.events_per_sec`` is one
+#: single-pass engine replay with the full 4-detector set (recorded
+#: 770k-924k ev/s).  ``campaign.events_per_sec`` pins
+#: end-to-end ``repro campaign`` throughput (recorded ~200k ev/s).
+#:
+#: ``BENCH_interp.json``: pre-decoded interpreter steps/sec with no
+#: observers and with full online SVD attached (recorded
+#: 1.44M-1.61M and 362k-412k steps/s).
 #:
 #: ``BENCH_serve.json``: sustained ``repro serve`` fleet throughput --
 #: a supervised fleet of short executions must complete at least this
@@ -51,12 +55,12 @@ from typing import Dict, List, Mapping, Tuple
 #: as a ratio >= 0.90.)
 FLOORS: Dict[str, Dict[str, float]] = {
     "BENCH_engine.json": {
-        "speedup": 1.5,
+        "single_pass.events_per_sec": 380_000,
         "campaign.events_per_sec": 100_000,
     },
     "BENCH_interp.json": {
-        "speedup.0-observers": 2.0,
-        "speedup.full-svd": 1.3,
+        "modes.predecoded/0-observers.steps_per_sec": 700_000,
+        "modes.predecoded/full-svd.steps_per_sec": 180_000,
     },
     "BENCH_serve.json": {
         "executions_per_sec": 60,

@@ -15,13 +15,14 @@ track exercised code size, not execution length.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import List, Optional, Sequence, Tuple
 
 from repro.core.online import OnlineSVD, SvdConfig
 from repro.isa.program import Program
-from repro.machine.events import Event, MachineObserver
+from repro.machine.events import MachineObserver
 
 
 @dataclass
@@ -71,21 +72,36 @@ class SegmentSampler(MachineObserver):
         self._index = 0
         self._active: Optional[Segment] = None
 
-    def on_event(self, event: Event) -> None:
-        if self._active is not None and event.seq >= self._active.end_seq:
-            self._close_active(event.seq)
-        while (self._index < len(self.windows)
-               and event.seq >= self.windows[self._index][1]):
-            self._index += 1  # window skipped entirely (machine jumped)
-        if (self._active is None and self._index < len(self.windows)
-                and event.seq >= self.windows[self._index][0]):
-            start, end = self.windows[self._index]
-            self._index += 1
-            self._active = Segment(
-                start_seq=start, end_seq=end,
-                detector=OnlineSVD(self.program, self.config))
-        if self._active is not None:
-            self._active.detector.on_event(event)
+    def consume_batch(self, batch) -> None:
+        """Slice the window at segment boundaries and feed each slice to
+        its segment's detector; rows outside every segment are skipped
+        (fast-forward)."""
+        seqs = batch.seqs
+        windows = self.windows
+        i, n = 0, batch.count
+        while i < n:
+            seq = seqs[i]
+            active = self._active
+            if active is not None and seq >= active.end_seq:
+                self._close_active(seq)
+                active = None
+            if active is None:
+                while (self._index < len(windows)
+                       and seq >= windows[self._index][1]):
+                    self._index += 1  # window skipped entirely
+                if self._index == len(windows):
+                    return
+                start, end = windows[self._index]
+                if seq < start:
+                    i = bisect_left(seqs, start, i, n)
+                    continue
+                self._index += 1
+                active = self._active = Segment(
+                    start_seq=start, end_seq=end,
+                    detector=OnlineSVD(self.program, self.config))
+            stop = bisect_left(seqs, active.end_seq, i, n)
+            active.detector.consume_batch(batch.slice(i, stop))
+            i = stop
 
     def _close_active(self, at_seq: int) -> None:
         assert self._active is not None

@@ -5,23 +5,23 @@ held as parallel columns (``kinds``, ``seqs``, ``tids``, ``pcs``,
 ``locs``, ``addrs``, ``values``, ``takens``, ``targets``) instead of a
 list of :class:`~repro.machine.events.Event` objects.  Rows appear in
 global sequence order, so a consumer that walks a batch front to back
-sees exactly the per-event stream -- the ``kinds`` column is the
-dispatch key that per-event delivery used to carry on each object.
+sees the event stream in order -- the ``kinds`` column is the dispatch
+key each consumer switches on.
 
 Why mixed-kind windows rather than one buffer per kind: measured
 same-kind run lengths in real traces are ~1.2 events, so per-kind
 buffers would flush constantly *and* lose the global order every
 order-sensitive analysis (SVD, FRD) depends on.  A mixed window keeps
-order by construction and still eliminates the per-event costs --
-object allocation, per-event observer calls, per-event dispatch-table
-probes.
+order by construction and pays per window, not per event, for object
+allocation, observer calls and dispatch-table probes.
 
-Batches are produced in two places:
+Batches are the only form in which events travel from a source to its
+consumers.  They are produced in two places:
 
 * the live machine's emission buffer (:meth:`repro.machine.Machine`
   staging rows and flushing via :meth:`Machine.flush_events`);
 * trace replay (:meth:`repro.trace.Trace.batches` slices the trace's
-  cached column arrays into windows).
+  cached columnar form into windows).
 
 and consumed through the ``consume_batch(batch)`` observer/analysis
 protocol (see ``docs/architecture.md``).  A consumer may receive kinds
@@ -32,7 +32,7 @@ it does not handle.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from repro.machine.events import Event, N_KINDS
 
@@ -52,10 +52,10 @@ class EventBatch:
 
     Rows are in global sequence order; ``count`` is the window length.
     ``to_events`` materializes (and caches) the equivalent
-    :class:`Event` objects -- the engine's per-event fallback and the
-    trace recorder share that one materialization, so Events are
-    constructed at most once per window no matter how many consumers
-    need them.
+    :class:`Event` objects -- the engine's synthesized calls for
+    per-event analyses and the trace recorder share that one
+    materialization, so Events are constructed at most once per window
+    no matter how many consumers need them.
     """
 
     __slots__ = ("count", "kinds", "seqs", "tids", "pcs", "locs", "addrs",
@@ -88,6 +88,26 @@ class EventBatch:
                               for e in events)))
         return cls(columns, events=events)
 
+    def columns(self) -> Tuple[Sequence, ...]:
+        """The nine columns, in :data:`ROW_FIELDS` order."""
+        return (self.kinds, self.seqs, self.tids, self.pcs, self.locs,
+                self.addrs, self.values, self.takens, self.targets)
+
+    def rows(self) -> Iterator[Tuple]:
+        """The window as row tuples, in :data:`ROW_FIELDS` order."""
+        return zip(*self.columns())
+
+    def slice(self, start: int, stop: int) -> "EventBatch":
+        """Rows ``[start, stop)`` as a window of their own (itself when
+        the slice covers the whole window); an already-materialized
+        ``to_events`` answer is sliced along."""
+        if start <= 0 and stop >= self.count:
+            return self
+        events = self._events
+        return EventBatch(tuple(col[start:stop] for col in self.columns()),
+                          events=(events[start:stop] if events is not None
+                                  else None))
+
     def kind_counts(self) -> List[int]:
         """Events per kind in this window (cached)."""
         counts = self._kind_counts
@@ -103,8 +123,7 @@ class EventBatch:
 
         Events re-link to ``program.code[pc]`` exactly as
         :meth:`repro.trace.Trace.load` does, so a synthesized event is
-        field-for-field identical to the one the per-event path would
-        have constructed at emission time.
+        field-for-field identical to a recorded one.
         """
         events = self._events
         if events is None:

@@ -1,7 +1,10 @@
 """The machine's event stream.
 
-Every retired instruction produces exactly one :class:`Event`, delivered
-to all registered observers in global execution order.  The event order
+Every retired instruction produces exactly one event, delivered to all
+registered observers in global execution order (as rows of an
+:class:`repro.machine.batch.EventBatch`; :class:`Event` is the
+materialized per-event form recorded traces and per-event analyses
+use).  The event order
 *is* the paper's program trace (the total order "≺" of §3.1); per-thread
 subsequences are the thread traces.
 """
@@ -104,38 +107,27 @@ class Event:
 class MachineObserver:
     """Base class for passive machine observers (detectors, recorders).
 
-    Observers must not mutate machine state; they receive every event in
-    global order via :meth:`on_event` and a completion callback via
-    :meth:`on_finish`.
+    Observers must not mutate machine state.  They receive the global
+    event stream through :meth:`consume_batch` -- one
+    :class:`repro.machine.batch.EventBatch` per flush, rows in global
+    order -- and a completion callback via :meth:`on_finish`.
 
     :attr:`interests` is the observer's *kind mask*: the set of event
-    kinds it wants delivered, or None for the full stream.  The machine
-    folds the masks of all attached observers into its emission tables,
-    so an event kind nobody subscribed to is never even constructed
-    (the global sequence number still advances, keeping traces, replay
-    and checkpoints identical to a fully observed run).  The mask is
-    read when the observer is attached -- it must not change afterwards.
-
-    Batched delivery: an observer may additionally define
-    ``consume_batch(batch)`` taking a
-    :class:`repro.machine.batch.EventBatch`.  When *every* attached
-    observer defines it (and no stream-fault injector is armed), the
-    machine stages rows instead of constructing Events and flushes
-    columnar batches at buffer-full, checkpoint/restore, observer-set
-    changes, and end of run.  Batches are shared between observers and
-    are *mixed-kind*: a consumer must dispatch on ``batch.kinds`` and
-    ignore kinds outside its interests.  Rows appear in global order,
-    so walking a batch front to back replays exactly the stream
-    :meth:`on_event` would have seen.  Observers defining
-    ``consume_batch`` must still define :meth:`on_event` -- per-event
-    delivery remains in effect whenever any co-attached observer is
-    per-event-only, or a fault plan is active.
+    kinds it wants, or None for the full stream.  The machine folds the
+    masks of all attached observers into its emission tables, so an
+    event kind nobody subscribed to is never even staged (the global
+    sequence number still advances, keeping traces, replay and
+    checkpoints identical to a fully observed run).  The mask is read
+    when the observer is attached -- it must not change afterwards.
+    Batches are shared between observers and are *mixed-kind*: a
+    consumer dispatches on ``batch.kinds`` and ignores kinds outside
+    its interests.
     """
 
     #: event kinds (``EV_*``) to receive, or None for the full stream
     interests: Optional[FrozenSet[int]] = None
 
-    def on_event(self, event: Event) -> None:  # pragma: no cover - interface
+    def consume_batch(self, batch) -> None:  # pragma: no cover - interface
         raise NotImplementedError
 
     def on_finish(self, machine) -> None:

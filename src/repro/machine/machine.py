@@ -13,13 +13,16 @@ Two step engines share one machine:
   decoding, kept byte-for-byte in behaviour as the differential
   reference for the pre-decoded engine.
 
-Both engines drive the same *kind-masked* emission machinery
-(:meth:`Machine._emit` and the per-kind tables the closures inline):
-observers declare an interested-kind mask (``interests``), and an event
-kind nobody subscribed to is never constructed at all -- the global
-sequence number still advances, so traces, recorded schedules, replay
-and checkpoint/restore are identical to a fully observed run.  A kind
-with exactly one subscriber bypasses the fan-out loop entirely.
+Events leave the machine one way: both engines append a flat row tuple
+per event to one staging buffer, and :meth:`Machine.flush_events` hands
+the staged rows to every observer's ``consume_batch`` as one columnar
+:class:`~repro.machine.batch.EventBatch`.  Observers declare an
+interested-kind mask (``interests``); a kind nobody subscribed to is not
+even staged -- the global sequence number still advances, so traces,
+recorded schedules, replay and checkpoint/restore are identical to a
+fully observed run.  An observer that must stay in step with execution
+(the BER controller reads its detector after every step) builds the
+machine with ``batch_size=1``: every emission then flushes at once.
 
 The runnable set is maintained incrementally at the status-transition
 sites (block, wake, sleep, halt, crash) instead of being rebuilt by an
@@ -45,7 +48,7 @@ from repro.isa.instructions import (
 from repro.isa.program import Program
 from repro.machine.events import (
     EV_ACQUIRE, EV_ALU, EV_BRANCH, EV_CRASH, EV_HALT, EV_JUMP, EV_LOAD,
-    EV_NOTIFY, EV_OUTPUT, EV_RELEASE, EV_STORE, EV_WAIT, N_KINDS, Event,
+    EV_NOTIFY, EV_OUTPUT, EV_RELEASE, EV_STORE, EV_WAIT, N_KINDS,
     MachineObserver,
 )
 from repro.machine.scheduler import RandomScheduler, Scheduler
@@ -115,28 +118,14 @@ class _KindEmit:
     never replace them -- when the observer set changes mid-run (BER
     swaps its SVD on every rollback).
 
-    Fields:
-        wanted: construct and deliver events of this kind at all.
-        solo:   the single subscriber's callback when exactly one
-                observer wants the kind (fan-out bypass), or the
-                injection wrapper when a fault plan is armed.
-        sinks:  the fan-out list when ``solo`` is None.
-        raw:    the real subscriber callbacks, unwrapped -- what the
-                injection path delivers transformed events to.
-        batch:  the machine's shared staging-row list when batched
-                emission is active and some observer wants this kind,
-                else None.  Batched kinds have ``wanted`` False: the
-                step closures append a flat row tuple instead of
-                constructing an Event.
+    ``batch`` is the machine's shared staging-row list when some
+    observer wants this kind (or a stream-fault plan is armed), else
+    None: an unwanted kind is never staged.
     """
 
-    __slots__ = ("wanted", "solo", "sinks", "raw", "batch")
+    __slots__ = ("batch",)
 
     def __init__(self) -> None:
-        self.wanted = False
-        self.solo = None
-        self.sinks: Tuple = ()
-        self.raw: Tuple = ()
         self.batch = None
 
 
@@ -150,7 +139,8 @@ class Machine:
             pool).
         scheduler: interleaving policy; defaults to a seeded
             :class:`RandomScheduler`.
-        observers: passive observers receiving the global event stream.
+        observers: passive observers receiving the global event stream
+            through ``consume_batch``.
         record_schedule: when true, the processor-id choice of every step
             is recorded in :attr:`recorded_schedule` so the run can be
             replayed exactly with a :class:`ReplayScheduler`.
@@ -158,18 +148,11 @@ class Machine:
             default) or the legacy if/elif interpreter, the differential
             reference.  Both produce byte-identical event streams,
             schedules and architectural state.
-        batch_events: allow batched (columnar) event emission.  Batched
-            emission engages only when every attached observer exposes a
-            callable ``consume_batch`` and no stream-fault injector is
-            armed; otherwise emission stays per-event.  Observers see
-            the identical stream either way, but delivery is deferred
-            to flush boundaries (buffer full, checkpoint/restore,
-            observer change, end of run, or an explicit
-            :meth:`flush_events`) -- a consumer that reads detector
-            state *between individual steps* (the BER controller) must
-            pass False.
         batch_size: capacity of the staging buffer before an automatic
-            flush.
+            flush.  Delivery happens at flush boundaries (buffer full,
+            checkpoint/restore, observer change, end of run, or an
+            explicit :meth:`flush_events`); a consumer that reads
+            observer state *between individual steps* passes 1.
         memmodel: the memory consistency model (see
             :mod:`repro.machine.memmodel`): a :class:`MemoryModel`
             instance, a registry name (``"strict"``/``"tso"``), or None
@@ -188,7 +171,6 @@ class Machine:
                  observers: Sequence[MachineObserver] = (),
                  record_schedule: bool = False,
                  predecoded: bool = True,
-                 batch_events: bool = True,
                  batch_size: int = DEFAULT_BATCH_SIZE,
                  memmodel: "MemoryModel | str | None" = None) -> None:
         if not threads:
@@ -237,17 +219,16 @@ class Machine:
                           if plan is not None and plan.stream_faults()
                           else None)
 
-        #: batched emission staging: one row tuple per event, flushed as
-        #: an EventBatch.  The list object is stable for the machine's
+        #: emission staging: one row tuple per event, flushed as an
+        #: EventBatch.  The list object is stable for the machine's
         #: lifetime (pre-decoded closures capture it through the
         #: _KindEmit entries; flushes clear it in place).
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
-        self._batch_events = batch_events
         self._batch_capacity = batch_size
         self._batch_rows: List[Tuple] = []
-        #: consume_batch callables of the attached observers while
-        #: batching is engaged (rebuilt with the emission tables)
+        #: consume_batch callables of the attached observers (rebuilt
+        #: with the emission tables)
         self._batch_sinks: Tuple = ()
 
         #: per-kind emission tables; created before the observers setter
@@ -302,94 +283,52 @@ class Machine:
     def _rebuild_emit_state(self) -> None:
         """Fold the attached observers' kind masks into the per-kind
         emission tables (in place: pre-decoded closures hold the
-        entries).
-
-        Batched emission engages iff it was enabled at construction,
-        no stream-fault injector is armed, and *every* attached observer
-        exposes a callable ``consume_batch`` (all-or-nothing: one
-        per-event-only observer keeps the whole machine per-event, so
-        all observers always agree on delivery timing)."""
+        entries).  While a stream-fault plan is armed every kind is
+        staged, so the injector's emission ordinals count every event
+        whoever listens."""
         if self._batch_rows:
             # pending rows belong to the outgoing observer set
             self.flush_events()
-        injector = self._injector
         observers = self._observers
-        batching = (self._batch_events and injector is None
-                    and bool(observers)
-                    and all(callable(getattr(o, "consume_batch", None))
-                            for o in observers))
-        self._batch_sinks = (tuple(o.consume_batch for o in observers)
-                             if batching else ())
+        self._batch_sinks = tuple(o.consume_batch for o in observers)
+        masks = [getattr(o, "interests", None) for o in observers]
+        stage_all = self._injector is not None or None in masks
         rows = self._batch_rows
         for kind, entry in enumerate(self._emit_state):
-            sinks = []
-            for observer in observers:
-                interests = getattr(observer, "interests", None)
-                if interests is None or kind in interests:
-                    sinks.append(observer.on_event)
-            entry.raw = tuple(sinks)
-            if injector is not None:
-                # every event must reach the injector so fault ordinals
-                # stay aligned with an uninjected run
-                entry.wanted = True
-                entry.solo = self._inject_and_deliver
-                entry.sinks = ()
-                entry.batch = None
-            elif batching:
-                # kind masking carries over: a kind nobody subscribed
-                # to is not even staged (seq still advances)
-                entry.wanted = False
-                entry.solo = None
-                entry.sinks = ()
-                entry.batch = rows if sinks else None
-            else:
-                entry.wanted = bool(sinks)
-                entry.solo = sinks[0] if len(sinks) == 1 else None
-                entry.sinks = tuple(sinks)
-                entry.batch = None
+            wanted = stage_all or any(kind in mask for mask in masks)
+            entry.batch = rows if wanted else None
 
     def flush_events(self) -> None:
         """Deliver all staged rows as one :class:`EventBatch` to every
-        observer's ``consume_batch``.  No-op when the buffer is empty
-        (always, outside batched emission).  Automatic flush points:
-        buffer full, :meth:`checkpoint`, :meth:`restore`, observer-set
-        changes, and end of run; callers driving :meth:`step` manually
-        flush here before reading observer state."""
+        observer's ``consume_batch`` (through the stream injector when
+        a fault plan is armed).  No-op when the buffer is empty.
+        Automatic flush points: buffer full, :meth:`checkpoint`,
+        :meth:`restore`, observer-set changes, and end of run; callers
+        driving :meth:`step` manually flush here before reading
+        observer state."""
         rows = self._batch_rows
         if not rows:
             return
-        batch = EventBatch.from_rows(rows)
+        if self._injector is not None:
+            batch = EventBatch.from_rows(self._injector.transform(rows))
+        else:
+            batch = EventBatch.from_rows(rows)
         del rows[:]
-        for sink in self._batch_sinks:
-            sink(batch)
+        if batch.count:
+            for sink in self._batch_sinks:
+                sink(batch)
 
     def _emit(self, kind: int, thread: ThreadState, instr, addr: int = -1,
               value: int = 0, taken: bool = False, target: int = -1) -> None:
-        entry = self._emit_state[kind]
         seq = self.seq
         self.seq = seq + 1
-        if entry.wanted:
-            event = Event(kind, seq, thread.tid, thread.pc, instr, addr,
-                          value, taken, target)
-            callback = entry.solo
-            if callback is not None:
-                callback(event)
-            else:
-                for callback in entry.sinks:
-                    callback(event)
-        elif entry.batch is not None:
-            rows = entry.batch
+        rows = self._emit_state[kind].batch
+        if rows is not None:
             rows.append((kind, seq, thread.tid, thread.pc,
                          instr.loc if instr is not None else -1,
                          addr, value, taken, target))
             if len(rows) >= self._batch_capacity:
                 self.flush_events()
-
-    def _inject_and_deliver(self, event: Event) -> None:
-        sinks = self._emit_state[event.kind].raw
-        for injected in self._injector.transform(event):
-            for sink in sinks:
-                sink(injected)
 
     def _emit_at(self, kind: int, tid: int, pc: int, instr,
                  addr: int = -1, value: int = 0) -> None:
@@ -398,22 +337,12 @@ class Machine:
         Drained stores go through here: the executing thread has long
         moved past the pc that issued the buffered store, so
         :meth:`_emit`'s ``thread.pc`` would mis-attribute the event.
-        Delivery (kind mask, solo/fan-out, batch staging) is otherwise
-        identical to :meth:`_emit`.
+        Staging is otherwise identical to :meth:`_emit`.
         """
-        entry = self._emit_state[kind]
         seq = self.seq
         self.seq = seq + 1
-        if entry.wanted:
-            event = Event(kind, seq, tid, pc, instr, addr, value)
-            callback = entry.solo
-            if callback is not None:
-                callback(event)
-            else:
-                for callback in entry.sinks:
-                    callback(event)
-        elif entry.batch is not None:
-            rows = entry.batch
+        rows = self._emit_state[kind].batch
+        if rows is not None:
             rows.append((kind, seq, tid, pc,
                          instr.loc if instr is not None else -1,
                          addr, value, False, -1))
@@ -788,9 +717,9 @@ class Machine:
 
     def restore(self, snapshot: Dict) -> None:
         """Roll architectural state back to a prior :meth:`checkpoint`."""
-        # deliver post-checkpoint events first: per-event observers have
-        # already seen them, so batched observers must too before the
-        # rollback (observers cannot unsee events either way)
+        # deliver post-checkpoint events first: they were executed, so
+        # observers see them before the rollback exactly as they would
+        # at batch size 1 (observers cannot unsee events)
         if self._batch_rows:
             self.flush_events()
         # in place: the pre-decoded step closures hold the memory list

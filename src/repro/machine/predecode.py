@@ -6,8 +6,10 @@ instruction's class *and* operand kinds: register indices, immediate
 values, branch targets, ALU callables, bounds checks and the event-kind
 emission entry are all resolved at compile time, so executing one
 instruction is a single ``table[pc](thread)`` call with no
-``type()``/``isinstance`` dispatch, no operand decoding, and -- thanks
-to the kind mask -- often no :class:`Event` allocation at all.
+``type()``/``isinstance`` dispatch and no operand decoding.  Emitting
+an event means appending one flat row tuple to the machine's staging
+buffer (see :meth:`repro.machine.Machine.flush_events`); no
+:class:`~repro.machine.events.Event` object is ever constructed here.
 
 Specializations compiled here:
 
@@ -19,10 +21,9 @@ Specializations compiled here:
   check against the baked memory length (machine memory never grows
   after construction).
 * The hot kinds (LOAD/STORE/ALU/BRANCH/JUMP/ACQUIRE/RELEASE) inline the
-  masked emission directly in the closure body -- one attribute load on
-  the captured ``_KindEmit`` entry decides whether an Event exists at
-  all, and the single-subscriber case is one callback call with no
-  fan-out loop and no helper frame.
+  masked staging directly in the closure body -- one attribute load on
+  the captured ``_KindEmit`` entry decides whether the kind is staged
+  at all, with no helper frame.
 * Cold instructions (Wait/Notify/Assert/Output/Halt and every crash
   path) route through the machine's shared helpers so blocking,
   wait-queue and crash behaviour is *the same object code* the legacy
@@ -49,7 +50,7 @@ from repro.isa.instructions import (
 )
 from repro.machine.events import (
     EV_ACQUIRE, EV_ALU, EV_BRANCH, EV_HALT, EV_JUMP, EV_LOAD, EV_NOTIFY,
-    EV_OUTPUT, EV_RELEASE, EV_STORE, EV_WAIT, Event,
+    EV_OUTPUT, EV_RELEASE, EV_STORE, EV_WAIT,
 )
 
 #: a compiled step function: takes the executing ThreadState, returns
@@ -109,17 +110,8 @@ def _make_alu(m, instr: Alu, pc: int) -> StepFn:
             thread.regs[dest] = result
             seq = m.seq
             m.seq = seq + 1
-            if entry.wanted:
-                event = Event(EV_ALU, seq, thread.tid, pc, instr, -1,
-                              result)
-                callback = entry.solo
-                if callback is not None:
-                    callback(event)
-                else:
-                    for callback in entry.sinks:
-                        callback(event)
-            elif entry.batch is not None:
-                rows = entry.batch
+            rows = entry.batch
+            if rows is not None:
                 rows.append((EV_ALU, seq, thread.tid, pc, loc, -1,
                              result, False, -1))
                 if len(rows) >= cap:
@@ -136,17 +128,8 @@ def _make_alu(m, instr: Alu, pc: int) -> StepFn:
             regs[dest] = result
             seq = m.seq
             m.seq = seq + 1
-            if entry.wanted:
-                event = Event(EV_ALU, seq, thread.tid, pc, instr, -1,
-                              result)
-                callback = entry.solo
-                if callback is not None:
-                    callback(event)
-                else:
-                    for callback in entry.sinks:
-                        callback(event)
-            elif entry.batch is not None:
-                rows = entry.batch
+            rows = entry.batch
+            if rows is not None:
                 rows.append((EV_ALU, seq, thread.tid, pc, loc, -1,
                              result, False, -1))
                 if len(rows) >= cap:
@@ -163,17 +146,8 @@ def _make_alu(m, instr: Alu, pc: int) -> StepFn:
             regs[dest] = result
             seq = m.seq
             m.seq = seq + 1
-            if entry.wanted:
-                event = Event(EV_ALU, seq, thread.tid, pc, instr, -1,
-                              result)
-                callback = entry.solo
-                if callback is not None:
-                    callback(event)
-                else:
-                    for callback in entry.sinks:
-                        callback(event)
-            elif entry.batch is not None:
-                rows = entry.batch
+            rows = entry.batch
+            if rows is not None:
                 rows.append((EV_ALU, seq, thread.tid, pc, loc, -1,
                              result, False, -1))
                 if len(rows) >= cap:
@@ -190,17 +164,8 @@ def _make_alu(m, instr: Alu, pc: int) -> StepFn:
             regs[dest] = result
             seq = m.seq
             m.seq = seq + 1
-            if entry.wanted:
-                event = Event(EV_ALU, seq, thread.tid, pc, instr, -1,
-                              result)
-                callback = entry.solo
-                if callback is not None:
-                    callback(event)
-                else:
-                    for callback in entry.sinks:
-                        callback(event)
-            elif entry.batch is not None:
-                rows = entry.batch
+            rows = entry.batch
+            if rows is not None:
                 rows.append((EV_ALU, seq, thread.tid, pc, loc, -1,
                              result, False, -1))
                 if len(rows) >= cap:
@@ -234,17 +199,8 @@ def _make_load(m, instr: Load, pc: int) -> StepFn:
             thread.regs[dest] = value
             seq = m.seq
             m.seq = seq + 1
-            if entry.wanted:
-                event = Event(EV_LOAD, seq, thread.tid, pc, instr, addr,
-                              value)
-                callback = entry.solo
-                if callback is not None:
-                    callback(event)
-                else:
-                    for callback in entry.sinks:
-                        callback(event)
-            elif entry.batch is not None:
-                rows = entry.batch
+            rows = entry.batch
+            if rows is not None:
                 rows.append((EV_LOAD, seq, thread.tid, pc, loc, addr,
                              value, False, -1))
                 if len(rows) >= cap:
@@ -265,17 +221,8 @@ def _make_load(m, instr: Load, pc: int) -> StepFn:
             regs[dest] = value
             seq = m.seq
             m.seq = seq + 1
-            if entry.wanted:
-                event = Event(EV_LOAD, seq, thread.tid, pc, instr, addr,
-                              value)
-                callback = entry.solo
-                if callback is not None:
-                    callback(event)
-                else:
-                    for callback in entry.sinks:
-                        callback(event)
-            elif entry.batch is not None:
-                rows = entry.batch
+            rows = entry.batch
+            if rows is not None:
                 rows.append((EV_LOAD, seq, thread.tid, pc, loc, addr,
                              value, False, -1))
                 if len(rows) >= cap:
@@ -306,17 +253,8 @@ def _make_store(m, instr: Store, pc: int) -> StepFn:
                 memory[addr] = value
                 seq = m.seq
                 m.seq = seq + 1
-                if entry.wanted:
-                    event = Event(EV_STORE, seq, thread.tid, pc, instr,
-                                  addr, value)
-                    callback = entry.solo
-                    if callback is not None:
-                        callback(event)
-                    else:
-                        for callback in entry.sinks:
-                            callback(event)
-                elif entry.batch is not None:
-                    rows = entry.batch
+                rows = entry.batch
+                if rows is not None:
                     rows.append((EV_STORE, seq, thread.tid, pc, loc,
                                  addr, value, False, -1))
                     if len(rows) >= cap:
@@ -331,17 +269,8 @@ def _make_store(m, instr: Store, pc: int) -> StepFn:
                 memory[addr] = value
                 seq = m.seq
                 m.seq = seq + 1
-                if entry.wanted:
-                    event = Event(EV_STORE, seq, thread.tid, pc, instr,
-                                  addr, value)
-                    callback = entry.solo
-                    if callback is not None:
-                        callback(event)
-                    else:
-                        for callback in entry.sinks:
-                            callback(event)
-                elif entry.batch is not None:
-                    rows = entry.batch
+                rows = entry.batch
+                if rows is not None:
                     rows.append((EV_STORE, seq, thread.tid, pc, loc,
                                  addr, value, False, -1))
                     if len(rows) >= cap:
@@ -362,17 +291,8 @@ def _make_store(m, instr: Store, pc: int) -> StepFn:
                 memory[addr] = imm_value
                 seq = m.seq
                 m.seq = seq + 1
-                if entry.wanted:
-                    event = Event(EV_STORE, seq, thread.tid, pc, instr,
-                                  addr, imm_value)
-                    callback = entry.solo
-                    if callback is not None:
-                        callback(event)
-                    else:
-                        for callback in entry.sinks:
-                            callback(event)
-                elif entry.batch is not None:
-                    rows = entry.batch
+                rows = entry.batch
+                if rows is not None:
                     rows.append((EV_STORE, seq, thread.tid, pc, loc,
                                  addr, imm_value, False, -1))
                     if len(rows) >= cap:
@@ -392,17 +312,8 @@ def _make_store(m, instr: Store, pc: int) -> StepFn:
                 memory[addr] = value
                 seq = m.seq
                 m.seq = seq + 1
-                if entry.wanted:
-                    event = Event(EV_STORE, seq, thread.tid, pc, instr,
-                                  addr, value)
-                    callback = entry.solo
-                    if callback is not None:
-                        callback(event)
-                    else:
-                        for callback in entry.sinks:
-                            callback(event)
-                elif entry.batch is not None:
-                    rows = entry.batch
+                rows = entry.batch
+                if rows is not None:
                     rows.append((EV_STORE, seq, thread.tid, pc, loc,
                                  addr, value, False, -1))
                     if len(rows) >= cap:
@@ -442,17 +353,8 @@ def _make_branch(m, instr: Branch, pc: int) -> StepFn:
         taken = value == 0  # branch-if-false
         seq = m.seq
         m.seq = seq + 1
-        if entry.wanted:
-            event = Event(EV_BRANCH, seq, thread.tid, pc, instr, -1,
-                          value, taken, target)
-            callback = entry.solo
-            if callback is not None:
-                callback(event)
-            else:
-                for callback in entry.sinks:
-                    callback(event)
-        elif entry.batch is not None:
-            rows = entry.batch
+        rows = entry.batch
+        if rows is not None:
             rows.append((EV_BRANCH, seq, thread.tid, pc, loc, -1,
                          value, taken, target))
             if len(rows) >= cap:
@@ -473,17 +375,8 @@ def _make_jump(m, instr: Jump, pc: int) -> StepFn:
     def step(thread):
         seq = m.seq
         m.seq = seq + 1
-        if entry.wanted:
-            event = Event(EV_JUMP, seq, thread.tid, pc, instr, -1, 0,
-                          True, target)
-            callback = entry.solo
-            if callback is not None:
-                callback(event)
-            else:
-                for callback in entry.sinks:
-                    callback(event)
-        elif entry.batch is not None:
-            rows = entry.batch
+        rows = entry.batch
+        if rows is not None:
             rows.append((EV_JUMP, seq, thread.tid, pc, loc, -1, 0,
                          True, target))
             if len(rows) >= cap:
@@ -511,17 +404,8 @@ def _make_acquire(m, instr: Acquire, pc: int) -> StepFn:
             memory[addr] = thread.tid + 1
             seq = m.seq
             m.seq = seq + 1
-            if entry.wanted:
-                event = Event(EV_ACQUIRE, seq, thread.tid, pc, instr,
-                              addr)
-                callback = entry.solo
-                if callback is not None:
-                    callback(event)
-                else:
-                    for callback in entry.sinks:
-                        callback(event)
-            elif entry.batch is not None:
-                rows = entry.batch
+            rows = entry.batch
+            if rows is not None:
                 rows.append((EV_ACQUIRE, seq, thread.tid, pc, loc,
                              addr, 0, False, -1))
                 if len(rows) >= cap:
@@ -547,16 +431,8 @@ def _make_release(m, instr: Release, pc: int) -> StepFn:
         memory[addr] = 0
         seq = m.seq
         m.seq = seq + 1
-        if entry.wanted:
-            event = Event(EV_RELEASE, seq, thread.tid, pc, instr, addr)
-            callback = entry.solo
-            if callback is not None:
-                callback(event)
-            else:
-                for callback in entry.sinks:
-                    callback(event)
-        elif entry.batch is not None:
-            rows = entry.batch
+        rows = entry.batch
+        if rows is not None:
             rows.append((EV_RELEASE, seq, thread.tid, pc, loc, addr, 0,
                          False, -1))
             if len(rows) >= cap:
@@ -586,16 +462,8 @@ def _make_wait(m, instr: Wait, pc: int) -> StepFn:
                 thread.reacquiring = False
                 seq = m.seq
                 m.seq = seq + 1
-                if entry.wanted:
-                    event = Event(EV_ACQUIRE, seq, tid, pc, instr, addr)
-                    callback = entry.solo
-                    if callback is not None:
-                        callback(event)
-                    else:
-                        for callback in entry.sinks:
-                            callback(event)
-                elif entry.batch is not None:
-                    rows = entry.batch
+                rows = entry.batch
+                if rows is not None:
                     rows.append((EV_ACQUIRE, seq, tid, pc, loc, addr,
                                  0, False, -1))
                     if len(rows) >= cap:

@@ -130,10 +130,9 @@ class Trace:
         self.program = program
         self.events: List[Event] = list(events)
         self.n_threads = n_threads
-        #: lazily built columnar form shared by every batched replay of
-        #: this trace (the trace is immutable, so build it once)
-        self._columns: Optional[Tuple] = None
-        self._batch_cache: Dict[int, List[EventBatch]] = {}
+        #: lazily built columnar form shared by every replay of this
+        #: trace (the trace is immutable, so build it once)
+        self._whole: Optional[EventBatch] = None
 
     def __len__(self) -> int:
         return len(self.events)
@@ -190,44 +189,27 @@ class Trace:
         can synthesise the end-of-run callback.  To feed *several*
         analyses in one pass, use :class:`repro.engine.DetectorEngine`
         instead of calling this once per detector."""
-        on_event = observer.on_event
-        for event in self.events:
-            on_event(event)
+        consume = observer.consume_batch
+        for batch in self.batches():
+            consume(batch)
         return self.end_seq
 
     def batches(self,
-                batch_size: int = DEFAULT_BATCH_SIZE) -> List[EventBatch]:
+                batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[EventBatch]:
         """The trace sliced into columnar :class:`EventBatch` windows.
 
-        Column arrays are built once per trace and shared; the window
-        list for each ``batch_size`` is cached too, and each window's
-        ``to_events`` answer is the corresponding slice of
-        :attr:`events` (no re-materialization).  Replaying the batches
-        front to back is event-for-event equivalent to :meth:`feed`.
+        The whole trace is columnarized once and cached; windows are
+        cheap slices of it, made as the caller walks them, and each
+        window's ``to_events`` answer is the corresponding slice of
+        :attr:`events` (no re-materialization).
         """
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
-        cached = self._batch_cache.get(batch_size)
-        if cached is not None:
-            return cached
-        columns = self._columns
-        if columns is None:
-            events = self.events
-            if events:
-                columns = tuple(zip(*((e.kind, e.seq, e.tid, e.pc, e.loc,
-                                       e.addr, e.value, e.taken, e.target)
-                                      for e in events)))
-            else:
-                columns = ((),) * 9
-            self._columns = columns
-        n = len(self.events)
-        batches = [
-            EventBatch(tuple(col[start:start + batch_size]
-                             for col in columns),
-                       events=self.events[start:start + batch_size])
-            for start in range(0, n, batch_size)]
-        self._batch_cache[batch_size] = batches
-        return batches
+        whole = self._whole
+        if whole is None:
+            whole = self._whole = EventBatch.from_events(self.events)
+        return (whole.slice(start, start + batch_size)
+                for start in range(0, whole.count, batch_size))
 
     # -- serialization ---------------------------------------------------------
 
@@ -349,17 +331,10 @@ class TraceRecorder(MachineObserver):
         self._end_seq = end_seq
         self.events: List[Event] = []
 
-    def on_event(self, event: Event) -> None:
-        if event.seq < self._start_seq:
-            return
-        if self._end_seq is not None and event.seq >= self._end_seq:
-            return
-        self.events.append(event)
-
     def consume_batch(self, batch: EventBatch) -> None:
-        """Batched recording: materialize the window once (shared with
-        any other consumer of the same batch) and append the events
-        that fall inside the recording window."""
+        """Materialize the window once (shared with any other consumer
+        of the same batch) and append the events that fall inside the
+        recording window."""
         events = batch.to_events(self._program)
         start, end = self._start_seq, self._end_seq
         if start == 0 and end is None:

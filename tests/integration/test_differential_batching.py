@@ -1,22 +1,30 @@
-"""Differential test: batched columnar dispatch vs per-event dispatch.
+"""Differential test: the delivery window is an implementation detail.
 
-The batched pipeline (``Machine(batch_events=True)`` staging columnar
-windows + ``DetectorEngine(batched=True)`` feeding ``consume_batch``,
-both the defaults) must be observationally indistinguishable from the
-pure per-event reference (``batch_events=False`` / ``batched=False``):
-byte-identical event streams, recorded schedules, machine output, crash
-records, final memory, detector reports, and engine failure records --
-including under armed stream-fault plans (which auto-disable machine
-batching so injection ordinals stay per-emission), under
-``analysis.raise`` plans (fault-targeted analyses are pinned to the
-synthesized per-event path so their failure index/seq match), and
-across a checkpoint/restore rollback cycle (checkpoint and restore are
-flush boundaries).  Every program in the fuzz corpus and every workload
-model runs under both arms and the full observable fingerprint is
-compared as serialized JSON.
+Events leave the machine only as columnar ``EventBatch`` windows, so the
+window size must never show.  The references are:
+
+* the golden digests in ``tests/golden/delivery_fingerprints.json`` --
+  sha256 of the full observable fingerprint of every case below
+  (event stream, recorded schedule, machine output, crash records,
+  final memory, detector reports and engine failure records), captured
+  on the per-event delivery path before that path was removed;
+* batch size 1, where every emission flushes at once -- exactly the
+  timing per-event delivery had.
+
+Every program in the fuzz corpus and every workload model (default,
+explicit strict and TSO) must reproduce its golden digest at batch size
+1 and at the default window, and a representative subset sweeps every
+size in :data:`BATCH_SIZES` -- including armed stream-fault plans
+(the injector rewrites staged rows at flush, counting the same emission
+ordinals), ``analysis.raise`` plans (a targeted batch analysis is fed
+one-row windows, so its failure index and seq count single events), a
+multi-phase replay, and a checkpoint/restore rollback cycle
+(checkpoint and restore are flush boundaries).  Forced flushes at
+arbitrary points are swept by ``tests/property/test_batch_boundaries``.
 """
 
 import dataclasses
+import hashlib
 import json
 import os
 
@@ -26,58 +34,50 @@ from repro.engine import DetectorEngine
 from repro.faults import Fault, FaultPlan
 from repro.faults import runtime as fault_runtime
 from repro.fuzz.corpus import entry_source, load_corpus
+from repro.harness import SegmentSampler, evenly_spaced_windows
 from repro.lang import compile_source
 from repro.machine import (Machine, MachineObserver, RandomScheduler,
                            resolve_model)
+from repro.machine.batch import DEFAULT_BATCH_SIZE
 from repro.workloads import WORKLOADS
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "..", "corpus")
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "..", "golden",
+                           "delivery_fingerprints.json")
 
 WORKLOAD_MAX_STEPS = 30_000
 
+#: degenerate, tiny, odd, round, and the default capacity straddled by
+#: one on each side
+BATCH_SIZES = [1, 2, 7, 64, 1023, 1024, 1025]
+
+#: the reference window and the default one
+REFERENCE_SIZES = [1, DEFAULT_BATCH_SIZE]
+
+STREAM_PLAN = FaultPlan([Fault("stream.drop", at=40),
+                         Fault("stream.dup", at=90, count=2),
+                         Fault("stream.corrupt", at=150)], seed=7)
+TRUNCATE_PLAN = FaultPlan([Fault("stream.corrupt", at=700),
+                           Fault("stream.truncate", at=5000)], seed=3)
+
+
+with open(GOLDEN_PATH) as _fh:
+    GOLDEN = json.load(_fh)["digests"]
+
 
 class _Capture(MachineObserver):
-    """Records every observable event field, on either delivery path.
-
-    Implements both the per-event hook and the batched hook so the
-    machine's all-observers batching gate stays open in the batched arm;
-    the recorded tuples are identical either way.
-    """
+    """Records every observable event field of every window."""
 
     def __init__(self):
         self.events = []
-        self.finishes = 0
         self.batch_calls = 0
-
-    def on_event(self, event):
-        self.events.append((event.kind, event.seq, event.tid, event.pc,
-                            event.loc, event.addr, event.value,
-                            bool(event.taken), event.target))
 
     def consume_batch(self, batch):
         self.batch_calls += 1
-        append = self.events.append
-        kinds = batch.kinds
-        seqs = batch.seqs
-        tids = batch.tids
-        pcs = batch.pcs
-        locs = batch.locs
-        addrs = batch.addrs
-        values = batch.values
-        takens = batch.takens
-        targets = batch.targets
-        for i in range(batch.count):
-            append((kinds[i], seqs[i], tids[i], pcs[i], locs[i], addrs[i],
-                    values[i], bool(takens[i]), targets[i]))
-
-    def on_finish(self, machine):
-        self.finishes += 1
-
-
-class _PerEventCapture(_Capture):
-    """The reference arm's capture: per-event delivery only."""
-
-    consume_batch = None
+        self.events.extend(
+            (kind, seq, tid, pc, loc, addr, value, bool(taken), target)
+            for kind, seq, tid, pc, loc, addr, value, taken, target
+            in batch.rows())
 
 
 def _report_fingerprint(report):
@@ -85,10 +85,8 @@ def _report_fingerprint(report):
 
 
 def _failure_fingerprint(failure):
-    # everything except traceback_text: the frames necessarily name the
-    # dispatch function that raised (on_event vs the synth loop inside
-    # consume_batch), so the text differs even when the failure is
-    # semantically byte-identical
+    # everything except traceback_text: the frames name the dispatch
+    # function that raised, which is not part of the contract
     return {
         "analysis": failure.analysis,
         "phase": failure.phase,
@@ -99,30 +97,21 @@ def _failure_fingerprint(failure):
     }
 
 
-def _fingerprint(program, threads, scheduler, batched, max_steps,
-                 plan=None, detectors=("svd", "frd"), batch_size=None,
-                 consistency=None, model_seed=0):
+def _fingerprint(program, threads, scheduler, max_steps, batch_size,
+                 plan=None, detectors=("svd", "frd"), consistency=None,
+                 model_seed=0):
     """One execution with detectors attached, serialized end to end."""
-    capture = _Capture() if batched else _PerEventCapture()
+    capture = _Capture()
     machine_kwargs = dict(scheduler=scheduler, observers=[capture],
-                          record_schedule=True, batch_events=batched)
+                          record_schedule=True, batch_size=batch_size)
     if consistency is not None:
         machine_kwargs["memmodel"] = resolve_model(consistency, model_seed)
-    engine_kwargs = dict(batched=batched)
-    if batch_size is not None:
-        machine_kwargs["batch_size"] = batch_size
-        engine_kwargs["batch_size"] = batch_size
-    if plan is not None:
-        with fault_runtime.install(plan):
-            # the machine must be built while the plan is active for the
-            # stream injector to arm
-            machine = Machine(program, threads, **machine_kwargs)
-            engine = DetectorEngine(program, list(detectors),
-                                    **engine_kwargs)
-            result = engine.run_machine(machine, max_steps=max_steps)
-    else:
+    # the machine must be built while the plan is active for the
+    # stream injector to arm
+    with fault_runtime.install(plan):
         machine = Machine(program, threads, **machine_kwargs)
-        engine = DetectorEngine(program, list(detectors), **engine_kwargs)
+        engine = DetectorEngine(program, list(detectors),
+                                batch_size=batch_size)
         result = engine.run_machine(machine, max_steps=max_steps)
     return json.dumps({
         "status": machine.status,
@@ -142,135 +131,210 @@ def _fingerprint(program, threads, scheduler, batched, max_steps,
     }, sort_keys=True)
 
 
-def _assert_identical(program, threads, seed, switch_prob, max_steps,
-                      plan=None, detectors=("svd", "frd"),
-                      batch_size=None, consistency=None, model_seed=0):
-    reference = _fingerprint(
+def _digest(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _assert_golden(key, program, threads, seed, switch_prob, max_steps,
+                   batch_size, **kwargs):
+    fingerprint = _fingerprint(
         program, threads,
         RandomScheduler(seed=seed, switch_prob=switch_prob),
-        batched=False, max_steps=max_steps, plan=plan,
-        detectors=detectors, batch_size=batch_size,
-        consistency=consistency, model_seed=model_seed)
-    batched = _fingerprint(
-        program, threads,
-        RandomScheduler(seed=seed, switch_prob=switch_prob),
-        batched=True, max_steps=max_steps, plan=plan,
-        detectors=detectors, batch_size=batch_size,
-        consistency=consistency, model_seed=model_seed)
-    assert reference == batched
+        max_steps, batch_size, **kwargs)
+    assert _digest(fingerprint) == GOLDEN[key], (key, batch_size)
 
 
 def _corpus_entries():
     return load_corpus(CORPUS_DIR)
 
 
+def _corpus_program(entry):
+    return compile_source(entry_source(CORPUS_DIR, entry))
+
+
+CORPUS_THREADS = [("t0", ()), ("t1", ())]
+
+
+class TestGoldenCoverage:
+    def test_every_golden_case_is_exercised(self):
+        """The goldens and this suite's cases stay in one-to-one step."""
+        expected = {f"corpus/{e.file}" for e in _corpus_entries()}
+        for name in WORKLOADS:
+            for model in ("default", "strict", "tso"):
+                expected.add(f"workload/{name}/{model}")
+        expected |= {"stream-faults", "stream-faults/apache",
+                     "stream-truncate/apache", "four-detector-replay",
+                     "analysis-raise/0", "analysis-raise/10",
+                     "analysis-raise/500", "checkpoint-restore"}
+        assert set(GOLDEN) == expected
+
+
 class TestCorpusDifferential:
+    @pytest.mark.parametrize("batch_size", REFERENCE_SIZES)
     @pytest.mark.parametrize(
         "entry", _corpus_entries(), ids=lambda e: e.file)
-    def test_corpus_entry_identical(self, entry):
-        program = compile_source(entry_source(CORPUS_DIR, entry))
-        threads = [("t0", ()), ("t1", ())]
-        _assert_identical(program, threads, entry.schedule_seed,
-                          entry.switch_prob, entry.max_steps)
+    def test_corpus_entry_matches_golden(self, entry, batch_size):
+        _assert_golden(f"corpus/{entry.file}", _corpus_program(entry),
+                       CORPUS_THREADS, entry.schedule_seed,
+                       entry.switch_prob, entry.max_steps, batch_size)
 
-    def test_corpus_entry_identical_under_stream_faults(self):
-        """An armed stream injector disables machine-side batching, so
-        drop/dup/corrupt ordinals count per emission in both arms."""
-        entry = _corpus_entries()[0]
-        program = compile_source(entry_source(CORPUS_DIR, entry))
-        threads = [("t0", ()), ("t1", ())]
-        plan = FaultPlan([Fault("stream.drop", at=40),
-                          Fault("stream.dup", at=90, count=2),
-                          Fault("stream.corrupt", at=150)], seed=7)
-        _assert_identical(program, threads, entry.schedule_seed,
-                          entry.switch_prob, entry.max_steps, plan=plan)
+    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
+    def test_corpus_entry_across_batch_sizes(self, batch_size):
+        """Any window capacity produces the golden fingerprint."""
+        entry = _corpus_entries()[-1]
+        _assert_golden(f"corpus/{entry.file}", _corpus_program(entry),
+                       CORPUS_THREADS, entry.schedule_seed,
+                       entry.switch_prob, entry.max_steps, batch_size)
 
-    @pytest.mark.parametrize("batch_size", [1, 2, 7, 64, 1024])
-    def test_corpus_entry_identical_across_batch_sizes(self, batch_size):
-        """The window size is an implementation detail: any capacity
-        produces the reference fingerprint."""
+    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
+    def test_corpus_entry_under_stream_faults(self, batch_size):
         entry = _corpus_entries()[0]
-        program = compile_source(entry_source(CORPUS_DIR, entry))
-        threads = [("t0", ()), ("t1", ())]
-        _assert_identical(program, threads, entry.schedule_seed,
-                          entry.switch_prob, entry.max_steps,
-                          batch_size=batch_size)
+        _assert_golden("stream-faults", _corpus_program(entry),
+                       CORPUS_THREADS, entry.schedule_seed,
+                       entry.switch_prob, entry.max_steps, batch_size,
+                       plan=STREAM_PLAN)
+
+
+class TestStreamFaultDifferential:
+    """Armed plans rewrite staged rows at flush; drop/dup/corrupt and
+    truncation ordinals count emissions, whatever the window size."""
+
+    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
+    def test_drop_dup_corrupt(self, batch_size):
+        workload = WORKLOADS["apache"]()
+        _assert_golden("stream-faults/apache", workload.program,
+                       workload.threads, 3, 0.4, WORKLOAD_MAX_STEPS,
+                       batch_size, plan=STREAM_PLAN)
+
+    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
+    def test_corrupt_then_truncate(self, batch_size):
+        workload = WORKLOADS["apache"]()
+        _assert_golden("stream-truncate/apache", workload.program,
+                       workload.threads, 3, 0.4, WORKLOAD_MAX_STEPS,
+                       batch_size, plan=TRUNCATE_PLAN)
 
 
 class TestBatchingEngages:
-    def test_batched_arm_actually_batches(self):
-        """Guard against a vacuous differential: the batched arm must
-        really deliver through consume_batch, not silently fall back."""
+    """Guard against a vacuous differential: the default window really
+    carries many events per ``consume_batch`` call."""
+
+    def _capture_run(self, plan=None):
         workload = WORKLOADS["apache"]()
         capture = _Capture()
-        machine = Machine(workload.program, workload.threads,
-                          scheduler=RandomScheduler(seed=1,
-                                                    switch_prob=0.3),
-                          observers=[capture], batch_events=True)
-        machine.run(max_steps=WORKLOAD_MAX_STEPS)
+        with fault_runtime.install(plan):
+            machine = Machine(workload.program, workload.threads,
+                              scheduler=RandomScheduler(seed=1,
+                                                        switch_prob=0.3),
+                              observers=[capture])
+            machine.run(max_steps=WORKLOAD_MAX_STEPS)
+        return capture
+
+    def test_default_run_batches(self):
+        capture = self._capture_run()
         assert capture.batch_calls >= 1
-        assert capture.events  # and the windows carried the stream
+        assert len(capture.events) > capture.batch_calls
+
+    def test_armed_stream_fault_run_batches(self):
+        """A fault plan no longer switches delivery to another path."""
+        capture = self._capture_run(STREAM_PLAN)
+        assert len(capture.events) > 10 * capture.batch_calls
+
+    def test_segment_sampler_batches(self):
+        """The serve "sampled" mode slices windows at segment
+        boundaries; its per-segment reports match one-row windows."""
+        workload = WORKLOADS["apache"]()
+
+        def sample(batch_size):
+            sampler = SegmentSampler(
+                workload.program,
+                evenly_spaced_windows(WORKLOAD_MAX_STEPS, 4, 2000))
+            counts = []
+            consume = sampler.consume_batch
+
+            def counting(batch):
+                counts.append(batch.count)
+                consume(batch)
+
+            sampler.consume_batch = counting
+            machine = Machine(workload.program, workload.threads,
+                              scheduler=RandomScheduler(seed=1,
+                                                        switch_prob=0.3),
+                              observers=[sampler], batch_size=batch_size)
+            machine.run(max_steps=WORKLOAD_MAX_STEPS)
+            segments = [(s.start_seq, s.end_seq, s.instructions,
+                         _report_fingerprint(s.detector.report))
+                        for s in sampler.segments]
+            return counts, segments
+
+        counts, segments = sample(DEFAULT_BATCH_SIZE)
+        assert max(counts) > 1
+        assert len(segments) == 4
+        assert all(instructions == 2000
+                   for _start, _end, instructions, _r in segments)
+        assert segments == sample(1)[1]
 
 
 class TestWorkloadDifferential:
+    @pytest.mark.parametrize("batch_size", REFERENCE_SIZES)
     @pytest.mark.parametrize("name", sorted(WORKLOADS), ids=str)
-    def test_workload_identical(self, name):
+    def test_workload_matches_golden(self, name, batch_size):
         workload = WORKLOADS[name]()
-        _assert_identical(workload.program, workload.threads, seed=1234,
-                          switch_prob=0.3, max_steps=WORKLOAD_MAX_STEPS)
+        _assert_golden(f"workload/{name}/default", workload.program,
+                       workload.threads, 1234, 0.3, WORKLOAD_MAX_STEPS,
+                       batch_size)
 
+    @pytest.mark.parametrize("batch_size", REFERENCE_SIZES)
     @pytest.mark.parametrize("name", sorted(WORKLOADS), ids=str)
-    def test_workload_identical_strict_explicit(self, name):
-        """Explicit ``--consistency strict`` sweeps the same batched vs
-        per-event identity as the default path."""
+    def test_workload_strict_explicit(self, name, batch_size):
+        """Explicit ``--consistency strict`` reproduces its golden."""
         workload = WORKLOADS[name]()
-        _assert_identical(workload.program, workload.threads, seed=1234,
-                          switch_prob=0.3, max_steps=WORKLOAD_MAX_STEPS,
-                          consistency="strict")
+        _assert_golden(f"workload/{name}/strict", workload.program,
+                       workload.threads, 1234, 0.3, WORKLOAD_MAX_STEPS,
+                       batch_size, consistency="strict")
 
+    @pytest.mark.parametrize("batch_size", REFERENCE_SIZES)
     @pytest.mark.parametrize("name", sorted(WORKLOADS), ids=str)
-    def test_workload_identical_tso(self, name):
-        """Drain-time stores are emitted through the same batch staging
-        as every other event: batched and per-event arms stay
-        byte-identical under TSO too."""
+    def test_workload_tso(self, name, batch_size):
+        """Drain-time stores are staged like every other event."""
         workload = WORKLOADS[name]()
-        _assert_identical(workload.program, workload.threads, seed=7,
-                          switch_prob=0.3, max_steps=WORKLOAD_MAX_STEPS,
-                          consistency="tso", model_seed=7)
+        _assert_golden(f"workload/{name}/tso", workload.program,
+                       workload.threads, 7, 0.3, WORKLOAD_MAX_STEPS,
+                       batch_size, consistency="tso", model_seed=7)
 
-    def test_four_detector_phase_replay_identical(self):
+    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
+    def test_four_detector_phase_replay(self, batch_size):
         """A multi-phase run (atomizer replays the recording in phase 1)
-        must batch the replay identically too."""
+        is window-invariant in the replay too."""
         workload = WORKLOADS["apache"]()
-        _assert_identical(workload.program, workload.threads, seed=77,
-                          switch_prob=0.4, max_steps=WORKLOAD_MAX_STEPS,
-                          detectors=("svd", "frd", "lockset", "atomizer"))
+        _assert_golden("four-detector-replay", workload.program,
+                       workload.threads, 77, 0.4, WORKLOAD_MAX_STEPS,
+                       batch_size,
+                       detectors=("svd", "frd", "lockset", "atomizer"))
 
 
 class TestFailureDifferential:
-    def test_analysis_raise_failures_identical(self):
-        """An ``analysis.raise`` quarantine must produce the same
-        failure record -- stage, event index, seq, error -- in both
-        arms: fault-targeted analyses are pinned to the synthesized
-        per-event path precisely so their ordinals cannot drift."""
+    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
+    @pytest.mark.parametrize("at", [0, 10, 500])
+    def test_analysis_raise_failure_matches_golden(self, at, batch_size):
+        """An ``analysis.raise`` quarantine produces the golden failure
+        record -- stage, event index, seq, error -- at every window
+        size."""
         workload = WORKLOADS["apache"]()
-        for at in (0, 10, 500):
-            plan = FaultPlan([Fault("analysis.raise", at=at,
-                                    target="frd")])
-            _assert_identical(workload.program, workload.threads,
-                              seed=3, switch_prob=0.4,
-                              max_steps=WORKLOAD_MAX_STEPS, plan=plan)
+        plan = FaultPlan([Fault("analysis.raise", at=at, target="frd")])
+        _assert_golden(f"analysis-raise/{at}", workload.program,
+                       workload.threads, 3, 0.4, WORKLOAD_MAX_STEPS,
+                       batch_size, plan=plan)
 
 
 class TestCheckpointRestoreDifferential:
-    def _run_with_rollback(self, batched):
+    def _run_with_rollback(self, batch_size):
         workload = WORKLOADS["apache"]()
-        capture = _Capture() if batched else _PerEventCapture()
+        capture = _Capture()
         machine = Machine(workload.program, workload.threads,
                           scheduler=RandomScheduler(seed=5,
                                                     switch_prob=0.4),
                           observers=[capture], record_schedule=True,
-                          batch_events=batched)
+                          batch_size=batch_size)
         machine.run(max_steps=400)
         snapshot = machine.checkpoint()
         machine.run(max_steps=800)  # overshoot, then roll back
@@ -284,9 +348,9 @@ class TestCheckpointRestoreDifferential:
             "events": capture.events,
         }, sort_keys=True)
 
-    def test_rollback_cycle_identical(self):
-        """checkpoint() and restore() are flush boundaries: a batched
-        observer sees the overshot (rolled-back) events exactly as a
-        per-event observer already did."""
-        assert (self._run_with_rollback(False)
-                == self._run_with_rollback(True))
+    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
+    def test_rollback_cycle_matches_golden(self, batch_size):
+        """checkpoint() and restore() are flush boundaries: observers
+        see the overshot (rolled-back) events at every window size."""
+        assert (_digest(self._run_with_rollback(batch_size))
+                == GOLDEN["checkpoint-restore"])

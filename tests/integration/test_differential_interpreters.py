@@ -37,10 +37,11 @@ class _CaptureObserver(MachineObserver):
         self.events = []
         self.finishes = 0
 
-    def on_event(self, event):
-        self.events.append((event.kind, event.seq, event.tid, event.pc,
-                            event.loc, event.addr, event.value,
-                            bool(event.taken), event.target))
+    def consume_batch(self, batch):
+        self.events.extend(
+            (kind, seq, tid, pc, loc, addr, value, bool(taken), target)
+            for kind, seq, tid, pc, loc, addr, value, taken, target
+            in batch.rows())
 
     def on_finish(self, machine):
         self.finishes += 1

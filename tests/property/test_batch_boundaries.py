@@ -1,12 +1,15 @@
 """Batch-boundary property tests.
 
-Batched (columnar) event delivery must be invariant to where the window
-boundaries fall.  Two families of boundaries are swept here:
+Event delivery must be invariant to where the window boundaries fall.
+The reference is batch size 1 -- every emission flushed at once, the
+timing per-event delivery had (pinned against the per-event goldens in
+``tests/integration/test_differential_batching.py``).  Two families of
+boundaries are swept here:
 
-* **capacity boundaries** -- every batch size (1, 2, 7, 64, and the
+* **capacity boundaries** -- every batch size (2, 7, 64, and the
   default capacity plus/minus one) must leave every observer in exactly
-  the state a per-event run produces, for generated programs and for
-  the engine's replay windows alike;
+  the reference state, for generated programs and for the engine's
+  replay windows alike;
 * **forced flush points** -- :meth:`repro.machine.Machine.flush_events`
   may be called at *any* moment (mid critical section, at a lock
   release, at thread exit, or at arbitrary generated seqs) without
@@ -30,32 +33,21 @@ from tests.property.genprog import programs
 SETTINGS = dict(max_examples=15, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
 
-#: the ISSUE-mandated capacity sweep: degenerate, tiny, odd, round, and
-#: the default capacity straddled by one on each side
+#: the capacity sweep: degenerate, tiny, odd, round, and the default
+#: capacity straddled by one on each side
 BATCH_SIZES = [1, 2, 7, 64, 1023, 1024, 1025]
 
 MAX_STEPS = 4000
 
 
 class _Capture(MachineObserver):
-    """Batch-capable event capture (keeps the machine's batching gate
-    open while recording the identical tuples on either path)."""
+    """Records every event field of every window."""
 
     def __init__(self):
         self.events = []
 
-    def on_event(self, event):
-        self.events.append((event.kind, event.seq, event.tid, event.pc,
-                            event.loc, event.addr, event.value,
-                            bool(event.taken), event.target))
-
     def consume_batch(self, batch):
-        append = self.events.append
-        for i in range(batch.count):
-            append((batch.kinds[i], batch.seqs[i], batch.tids[i],
-                    batch.pcs[i], batch.locs[i], batch.addrs[i],
-                    batch.values[i], bool(batch.takens[i]),
-                    batch.targets[i]))
+        self.events.extend(batch.rows())
 
 
 def _svd_keys(report):
@@ -67,7 +59,7 @@ GENERATED_THREADS = (("t0", ()), ("t1", ()))
 LOCKED_THREADS = (("worker", (10,)), ("worker", (10,)))
 
 
-def _run(source, seed, batch_events, batch_size=1024, flush_seqs=(),
+def _run(source, seed, batch_size, flush_seqs=(),
          threads=GENERATED_THREADS):
     """One observed machine run; returns every observable we compare."""
     program = compile_source(source)
@@ -76,8 +68,7 @@ def _run(source, seed, batch_events, batch_size=1024, flush_seqs=(),
     machine = Machine(program, list(threads),
                       scheduler=RandomScheduler(seed=seed,
                                                 switch_prob=0.5),
-                      observers=[svd, capture],
-                      batch_events=batch_events, batch_size=batch_size)
+                      observers=[svd, capture], batch_size=batch_size)
     if flush_seqs:
         pending = sorted(set(flush_seqs))
         steps = 0
@@ -98,10 +89,9 @@ def _run(source, seed, batch_events, batch_size=1024, flush_seqs=(),
 @given(programs(), st.integers(0, 50),
        st.sampled_from(BATCH_SIZES))
 def test_batch_size_invariant(source, seed, batch_size):
-    """Any capacity reproduces the per-event reference exactly."""
-    reference = _run(source, seed, batch_events=False)
-    batched = _run(source, seed, batch_events=True,
-                   batch_size=batch_size)
+    """Any capacity reproduces the one-row reference exactly."""
+    reference = _run(source, seed, batch_size=1)
+    batched = _run(source, seed, batch_size=batch_size)
     assert batched == reference
 
 
@@ -110,9 +100,8 @@ def test_batch_size_invariant(source, seed, batch_size):
        st.lists(st.integers(0, 600), max_size=5))
 def test_forced_flush_points_invariant(source, seed, flush_seqs):
     """Flushing at arbitrary seqs mid-run changes nothing observable."""
-    reference = _run(source, seed, batch_events=False)
-    batched = _run(source, seed, batch_events=True,
-                   flush_seqs=flush_seqs)
+    reference = _run(source, seed, batch_size=1)
+    batched = _run(source, seed, batch_size=1024, flush_seqs=flush_seqs)
     assert batched == reference
 
 
@@ -124,7 +113,7 @@ class TestSemanticFlushBoundaries:
 
     @pytest.fixture(scope="class")
     def reference(self):
-        return _run(COUNTER_LOCKED, self.SEED, batch_events=False,
+        return _run(COUNTER_LOCKED, self.SEED, batch_size=1,
                     threads=LOCKED_THREADS)
 
     def _boundary_seqs(self, reference):
@@ -145,46 +134,43 @@ class TestSemanticFlushBoundaries:
         acquire, release, _halt = self._boundary_seqs(reference)
         mid = (acquire + release) // 2 + 1
         assert acquire < mid <= release  # genuinely inside the region
-        batched = _run(COUNTER_LOCKED, self.SEED, batch_events=True,
-                       batch_size=batch_size, flush_seqs=[mid],
-                       threads=LOCKED_THREADS)
+        batched = _run(COUNTER_LOCKED, self.SEED, batch_size=batch_size,
+                       flush_seqs=[mid], threads=LOCKED_THREADS)
         assert batched == reference
 
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
     def test_flush_at_lock_release(self, reference, batch_size):
         _acquire, release, _halt = self._boundary_seqs(reference)
-        batched = _run(COUNTER_LOCKED, self.SEED, batch_events=True,
-                       batch_size=batch_size, flush_seqs=[release + 1],
-                       threads=LOCKED_THREADS)
+        batched = _run(COUNTER_LOCKED, self.SEED, batch_size=batch_size,
+                       flush_seqs=[release + 1], threads=LOCKED_THREADS)
         assert batched == reference
 
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
     def test_flush_at_thread_exit(self, reference, batch_size):
         _acquire, _release, halt = self._boundary_seqs(reference)
-        batched = _run(COUNTER_LOCKED, self.SEED, batch_events=True,
-                       batch_size=batch_size, flush_seqs=[halt + 1],
-                       threads=LOCKED_THREADS)
+        batched = _run(COUNTER_LOCKED, self.SEED, batch_size=batch_size,
+                       flush_seqs=[halt + 1], threads=LOCKED_THREADS)
         assert batched == reference
 
 
 class TestEngineWindowBoundaries:
     """The engine's replay windows are boundary-invariant too: every
-    capacity reproduces the batched-default and per-event reports."""
+    capacity reproduces the one-row reports."""
 
     @pytest.mark.parametrize("batch_size", BATCH_SIZES)
     def test_replay_reports_invariant(self, batch_size):
         program = compile_source(COUNTER_LOCKED)
 
-        def reports(batched, size):
+        def reports(size):
             machine = Machine(program, list(LOCKED_THREADS),
                               scheduler=RandomScheduler(seed=3,
-                                                        switch_prob=0.5))
+                                                        switch_prob=0.5),
+                              batch_size=size)
             result = DetectorEngine(
                 program, ["svd", "frd", "lockset", "atomizer"],
-                batched=batched, batch_size=size).run_machine(
+                batch_size=size).run_machine(
                     machine, max_steps=MAX_STEPS)
             return {name: _svd_keys(result.report(name))
                     for name in ("svd", "frd", "lockset", "atomizer")}
 
-        assert (reports(True, batch_size)
-                == reports(False, 1024))
+        assert reports(batch_size) == reports(1)

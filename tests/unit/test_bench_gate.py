@@ -13,7 +13,7 @@ from repro.harness.bench_gate import (FLOORS, FloorSpecError, check_file,
 
 @pytest.fixture
 def artefact(tmp_path):
-    """A plausible BENCH_engine.json with a passing speedup."""
+    """A plausible BENCH_engine.json that clears every built-in floor."""
     path = tmp_path / "BENCH_engine.json"
     path.write_text(json.dumps({
         "events": 38484,
@@ -78,8 +78,10 @@ class TestCheckFile:
         assert all(c.ok for c in checks)
 
     def test_extra_floor_overrides_builtin(self, artefact):
-        checks = check_file(artefact, extra_floors={"speedup": 2.0})
-        assert not any(c.ok for c in checks if c.key == "speedup")
+        checks = check_file(
+            artefact, extra_floors={"single_pass.events_per_sec": 2e6})
+        assert not any(c.ok for c in checks
+                       if c.key == "single_pass.events_per_sec")
 
     def test_unknown_artefact_without_floors_is_error(self, tmp_path):
         path = tmp_path / "BENCH_other.json"
@@ -106,11 +108,13 @@ class TestBenchCommand:
     def test_pass_exits_zero(self, artefact, capsys):
         assert main(["bench", "--check", artefact]) == 0
         out = capsys.readouterr().out
-        assert "ok: speedup = 1.61 (floor 1.5)" in out
+        floor = FLOORS["BENCH_engine.json"]["single_pass.events_per_sec"]
+        assert (f"ok: single_pass.events_per_sec = 1.1e+06 "
+                f"(floor {floor:g})") in out
 
     def test_floor_breach_exits_one(self, artefact, capsys):
         assert main(["bench", "--check", artefact,
-                     "--floor", "speedup=9"]) == 1
+                     "--floor", "single_pass.events_per_sec=9e6"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
     def test_missing_file_is_usage_error(self, tmp_path, capsys):
@@ -128,9 +132,15 @@ class TestBenchCommand:
         assert main(["bench", "--check", artefact, "--no-builtin",
                      "--floor", "single_pass.events_per_sec=1e5"]) == 0
 
-    def test_builtin_table_pins_engine_speedup(self):
-        # the headline claim of the batched pipeline stays pinned here
-        assert FLOORS["BENCH_engine.json"]["speedup"] == 1.5
+    def test_builtin_table_pins_absolute_floors(self):
+        # every built-in floor is an absolute throughput, never a ratio
+        # against a reference implementation
+        assert FLOORS["BENCH_engine.json"]["single_pass.events_per_sec"] > 0
+        interp = FLOORS["BENCH_interp.json"]
+        assert set(interp) == {"modes.predecoded/0-observers.steps_per_sec",
+                               "modes.predecoded/full-svd.steps_per_sec"}
+        assert not any("speedup" in key
+                       for floors in FLOORS.values() for key in floors)
         assert bench_gate.FLOORS is FLOORS
 
 
@@ -140,10 +150,11 @@ class TestLoadArtefactAndFloorsFor:
         assert record["speedup"] == 1.61
 
     def test_floors_for_overlays_extra_on_builtin(self):
-        floors = bench_gate.floors_for("BENCH_engine.json",
-                                       extra_floors={"speedup": 9.0,
-                                                     "extra.key": 1.0})
-        assert floors["speedup"] == 9.0  # extra wins
+        floors = bench_gate.floors_for(
+            "BENCH_engine.json",
+            extra_floors={"single_pass.events_per_sec": 9.0,
+                          "extra.key": 1.0})
+        assert floors["single_pass.events_per_sec"] == 9.0  # extra wins
         assert floors["campaign.events_per_sec"] == \
             FLOORS["BENCH_engine.json"]["campaign.events_per_sec"]
         assert floors["extra.key"] == 1.0
@@ -176,7 +187,7 @@ class TestBenchCommandEdgeCases:
     def test_non_numeric_gated_value(self, tmp_path, capsys):
         path = tmp_path / "BENCH_engine.json"
         path.write_text(json.dumps({
-            "speedup": "fast",
+            "single_pass": {"events_per_sec": "fast"},
             "campaign": {"events_per_sec": 200_000}}))
         assert main(["bench", "--check", str(path)]) == 2
         assert "not a number" in capsys.readouterr().err
@@ -188,6 +199,7 @@ class TestBenchCommandEdgeCases:
         path = tmp_path / "BENCH_engine.json"
         path.write_text(json.dumps({
             "speedup": 0.5,
+            "single_pass": {"events_per_sec": 1},
             "campaign": {"events_per_sec": 1}}))
         assert main(["bench", "--check", str(path)]) == 1
         assert main(["bench", "--check", str(path), "--no-builtin",

@@ -21,6 +21,7 @@ def artefact(tmp_path):
     path = tmp_path / "BENCH_engine.json"
     path.write_text(json.dumps({
         "speedup": 1.61,
+        "single_pass": {"events_per_sec": 1_100_000},
         "campaign": {"events_per_sec": 200_000},
     }))
     return str(path)
@@ -30,6 +31,7 @@ def regress(artefact, tmp_path):
     """A 2x-regressed copy of ``artefact`` under the same basename."""
     record = json.loads(open(artefact).read())
     record["speedup"] /= 2
+    record["single_pass"]["events_per_sec"] /= 2
     record["campaign"]["events_per_sec"] /= 2
     out = tmp_path / "slow" / "BENCH_engine.json"
     out.parent.mkdir()

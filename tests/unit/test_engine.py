@@ -96,10 +96,10 @@ class TestScheduling:
     def test_external_event_count_probe(self):
         """Count stream materializations with probes the engine cannot
         see: a Trace subclass instrumenting both the per-event iterator
-        and the batched window accessor.  A batched replay must request
-        the windows once per streamed phase and never fall back to the
-        per-event iterator; every phase still *delivers* the full
-        stream (events_read == end_seq)."""
+        and the window accessor.  A replay must request the windows once
+        per streamed phase and never walk the per-event iterator; every
+        phase still *delivers* the full stream (events_read ==
+        end_seq)."""
 
         class ProbedTrace(Trace):
             iterations = 0
@@ -128,20 +128,11 @@ class TestScheduling:
         for phase in result.stats.phases:
             assert phase.events_read == result.end_seq
 
-        # the differential reference (batched=False) is the old shape:
-        # one per-event iteration per phase, no batch requests
-        reference = ProbedTrace(program, list(trace.events),
-                                trace.n_threads)
-        DetectorEngine(program, ["svd", "frd", "lockset", "atomizer"],
-                       batched=False).run_trace(reference)
-        assert ProbedTrace.iterations == 2
-        assert ProbedTrace.batch_requests == 2  # unchanged
-
     def test_batch_path_analysis_never_sees_per_event_call(self):
-        """An analysis on the batched fast path must receive the stream
-        exclusively through consume_batch -- zero synthesized on_event
-        calls -- while a per-event-only analysis in the same phase gets
-        every event synthesized, in exact seq order."""
+        """An analysis declaring consume_batch must receive the stream
+        exclusively through it -- zero synthesized on_event calls --
+        while a per-event-only analysis in the same phase gets every
+        event synthesized, in exact seq order."""
 
         class BatchOnlyProbe(Analysis):
             name = "batch-only-probe"

@@ -227,12 +227,13 @@ class TestRuntime:
 
 
 class TestEngineIntegration:
-    def run_engine(self, batched=True):
+    def run_engine(self, batch_size=None):
         workload = stringbuffer()
+        kwargs = {} if batch_size is None else {"batch_size": batch_size}
         machine = workload.make_machine(
-            RandomScheduler(seed=0, switch_prob=0.3))
-        return DetectorEngine(workload.program, ["svd", "frd"],
-                              batched=batched).run_machine(
+            RandomScheduler(seed=0, switch_prob=0.3), **kwargs)
+        return DetectorEngine(workload.program,
+                              ["svd", "frd"]).run_machine(
             machine, max_steps=50_000)
 
     def test_engine_metrics_recorded(self):
@@ -249,35 +250,25 @@ class TestEngineIntegration:
         assert kinds == result.end_seq
         assert counters["engine.analysis.svd.events"] > 0
 
-    def test_batch_counters_match_per_event_dispatch(self):
-        """The batched-delivery counters are an exact re-binning of the
-        legacy per-event dispatch counts: on the same seed, the batch
-        sums (total and per kind) equal what an unbatched run reads
-        event by event."""
-        with obs.session(tracing=False) as batched_handle:
-            batched = self.run_engine()
-        with obs.session(tracing=False) as legacy_handle:
-            legacy = self.run_engine(batched=False)
-        batched_counters = batched_handle.registry.snapshot()["counters"]
-        legacy_counters = legacy_handle.registry.snapshot()["counters"]
-        assert batched_counters["engine.batch_flushed"] >= 1
-        assert (batched_counters["engine.batch_events"]
-                == legacy_counters["engine.events.read"])
-        per_kind_legacy = {name: value
-                           for name, value in legacy_counters.items()
-                           if name.startswith("engine.events.kind.")}
-        assert per_kind_legacy
-        for name, value in per_kind_legacy.items():
-            kind = name.rsplit(".", 1)[1]
-            assert (batched_counters["engine.batch_events.kind." + kind]
-                    == value)
-        # the batched run's own per-event accounting is unchanged too
-        assert (batched_counters["engine.events.read"]
-                == legacy_counters["engine.events.read"])
-        # a per-event run emits no batch counters at all
-        assert not any(name.startswith("engine.batch")
-                       for name in legacy_counters)
-        assert batched.end_seq == legacy.end_seq
+    def test_event_counters_independent_of_window_size(self):
+        """The per-kind read counters do not depend on where window
+        boundaries fall: one-row windows and default windows count the
+        same events; only the window count differs."""
+        with obs.session(tracing=False) as wide_handle:
+            wide = self.run_engine()
+        with obs.session(tracing=False) as narrow_handle:
+            narrow = self.run_engine(batch_size=1)
+        wide_counters = wide_handle.registry.snapshot()["counters"]
+        narrow_counters = narrow_handle.registry.snapshot()["counters"]
+        events = {name: value for name, value in wide_counters.items()
+                  if name.startswith("engine.events.")}
+        assert events["engine.events.read"] == wide.end_seq
+        assert events == {name: value
+                          for name, value in narrow_counters.items()
+                          if name.startswith("engine.events.")}
+        assert narrow_counters["engine.batch_flushed"] == narrow.end_seq
+        assert 1 <= wide_counters["engine.batch_flushed"] < narrow.end_seq
+        assert wide.end_seq == narrow.end_seq
 
     def test_engine_spans_recorded(self):
         with obs.session() as handle:

@@ -32,9 +32,9 @@ class TestControlStack:
                " x = x + 1; i = i + 1; } }")
         program = compile_source(src)
         svd = OnlineSVD(program)
-        # per-event delivery, or the peak probe below is vacuous
+        # one-row windows, or the peak probe below is vacuous
         machine = Machine(program, [("t", ())], scheduler=SerialScheduler(),
-                          batch_events=False)
+                          batch_size=1)
         machine.add_observer(svd)
         # track peak control-stack depth during the run
         peak = 0
@@ -49,9 +49,9 @@ class TestControlStack:
         program = compile_source(src)
         svd = OnlineSVD(program)
         # this test polls detector state after every single step, so
-        # batched (deferred) event delivery must stay off
+        # every emission must flush at once
         machine = Machine(program, [("t", ())], scheduler=SerialScheduler(),
-                          batch_events=False)
+                          batch_size=1)
         machine.add_observer(svd)
         peak = 0
         while machine.step():
@@ -90,10 +90,10 @@ class TestDirectory:
                " x = x + 1; i = i + 1; } }")
         program = compile_source(src)
         svd = OnlineSVD(program)
-        # per-step polling of the directory needs per-event delivery
+        # per-step polling of the directory needs one-row windows
         machine = Machine(program, [("t", (5,)), ("t", (5,))],
                           scheduler=RandomScheduler(seed=1, switch_prob=0.5),
-                          observers=[svd], batch_events=False)
+                          observers=[svd], batch_size=1)
         # mid-run, some thread must register interest in x's block
         saw_interest = False
         x_addr = program.address_of("x")

@@ -17,9 +17,13 @@ class _Capture(MachineObserver):
             self.interests = frozenset(interests)
         self.events = []
 
-    def on_event(self, event):
-        self.events.append((event.kind, event.seq, event.tid, event.pc,
-                            event.addr, event.value))
+    def consume_batch(self, batch):
+        # windows are shared, so a masked observer skips alien kinds
+        mask = self.interests
+        self.events.extend(
+            row for row in zip(batch.kinds, batch.seqs, batch.tids,
+                               batch.pcs, batch.addrs, batch.values)
+            if mask is None or row[0] in mask)
 
 
 def _machine(source, threads, **kwargs):
