@@ -11,12 +11,18 @@ Commands:
 * ``campaign`` -- parallel (workload, seed, detector-config) sweep
 * ``shard``    -- plan/run/merge a campaign split across independent
                shard processes (see ``docs/scaling.md``)
+* ``serve``    -- long-lived supervised fleet of detector executions
 * ``fuzz``     -- differential fuzzing of the SVD detector family
 * ``bench``    -- gate benchmark artefacts against pinned perf floors
                (and, with ``--gate``, against their recorded trend)
 * ``db``       -- query the persistent results database
 
-``run``, ``campaign`` and ``fuzz`` accept ``--obs`` (plus
+Each command module registers its subparsers with
+``set_defaults(func=...)``; every command runs through one
+:class:`~repro.cli.lifecycle.Invocation`, which owns the signal
+handlers, heartbeat, obs session, ``--db`` row and exit code.
+
+``run``, ``campaign``, ``serve`` and ``fuzz`` accept ``--obs`` (plus
 ``--trace-out``/``--metrics-out``) to activate :mod:`repro.obs` for the
 command: a metrics summary and span timings at the end of the run, a
 canonical-JSON metrics snapshot, and a Chrome trace-event file that
@@ -30,16 +36,10 @@ import sys
 from typing import Optional, Sequence
 
 from repro.cli import campaign, db, fuzz, run, serve
-from repro.cli.campaign import _cmd_campaign, _cmd_shard
-from repro.cli.db import _cmd_bench, _cmd_db
-from repro.cli.fuzz import _cmd_fuzz
-from repro.cli.run import (_cmd_analyze, _cmd_compile, _cmd_exec,
-                           _cmd_overhead, _cmd_replay, _cmd_run,
-                           _cmd_table1, _cmd_table2)
-from repro.cli.serve import _cmd_serve
+from repro.cli.lifecycle import Invocation
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="SVD: serializability violation detection (PLDI'05)")
@@ -49,28 +49,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "run": _cmd_run,
-    "analyze": _cmd_analyze,
-    "replay": _cmd_replay,
-    "exec": _cmd_exec,
-    "compile": _cmd_compile,
-    "table1": _cmd_table1,
-    "table2": _cmd_table2,
-    "overhead": _cmd_overhead,
-    "campaign": _cmd_campaign,
-    "shard": _cmd_shard,
-    "serve": _cmd_serve,
-    "fuzz": _cmd_fuzz,
-    "bench": _cmd_bench,
-    "db": _cmd_db,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return Invocation(args).run()
     except BrokenPipeError:
         # output piped into e.g. `head`; exit quietly like other CLIs
         try:

@@ -3,19 +3,14 @@
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
-from typing import Tuple
+from typing import Any, Dict, Optional, Tuple
 
-import repro.obs as obs
-from repro.cli.lifecycle import (EXIT_DEGRADED, EXIT_OK, EXIT_USAGE,
-                                 EXIT_VIOLATIONS, _add_consistency_flags,
-                                 _add_db_flag, _add_obs_flags, _exit_code,
-                                 _install_interrupt_handlers, _obs_active,
-                                 _obs_emit, _restore_interrupt_handlers,
-                                 _status_of)
-from repro.engine import parse_detector_list
-from repro.workloads import WORKLOADS
+from repro.cli.lifecycle import (Outcome, Row, UsageError,
+                                 add_consistency_flags, add_db_flag,
+                                 add_obs_flags, obs_requested,
+                                 parse_detectors, parse_workloads, status_of)
 
 
 def _add_matrix_flags(parser: argparse.ArgumentParser) -> None:
@@ -47,7 +42,7 @@ def _add_matrix_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--detectors", default=None, metavar="NAMES",
                         help="extra registry detector names attached to "
                         "every run alongside SVD(+FRD)")
-    _add_consistency_flags(parser)
+    add_consistency_flags(parser)
 
 
 def register(sub) -> None:
@@ -90,8 +85,9 @@ def register(sub) -> None:
                       metavar="SECONDS",
                       help="seconds between heartbeat records "
                       "(default: 1.0)")
-    _add_obs_flags(camp)
-    _add_db_flag(camp)
+    add_obs_flags(camp)
+    add_db_flag(camp)
+    camp.set_defaults(func=_campaign)
 
     shard = sub.add_parser(
         "shard", help="split a campaign across independent shard "
@@ -108,6 +104,7 @@ def register(sub) -> None:
                        help="plan without per-task metrics collection "
                        "(fastest; the merge then has no obs snapshot)")
     _add_matrix_flags(splan)
+    splan.set_defaults(func=_shard_plan)
 
     srun = shsub.add_parser(
         "run", help="run one shard directory (journaled; rerunning "
@@ -120,7 +117,8 @@ def register(sub) -> None:
                       help="shard wall-clock budget in seconds")
     srun.add_argument("--heartbeat-interval", type=float, default=1.0,
                       metavar="SECONDS")
-    _add_db_flag(srun)
+    add_db_flag(srun)
+    srun.set_defaults(func=_shard_run)
 
     smerge = shsub.add_parser(
         "merge", help="merge every shard's journal into the final "
@@ -133,7 +131,8 @@ def register(sub) -> None:
     smerge.add_argument("--metrics-out", default=None, metavar="PATH",
                         help="write the merged obs snapshot as "
                         "canonical JSON")
-    _add_db_flag(smerge)
+    add_db_flag(smerge)
+    smerge.set_defaults(func=_shard_merge)
 
     sdrive = shsub.add_parser(
         "drive", help="run every shard as a local subprocess, then "
@@ -145,32 +144,25 @@ def register(sub) -> None:
     sdrive.add_argument("--metrics-out", default=None, metavar="PATH",
                         help="write the merged obs snapshot as "
                         "canonical JSON")
-    _add_db_flag(sdrive)
-
-
-class _MatrixError(Exception):
-    """Bad campaign matrix flags; the message is the usage error."""
+    add_db_flag(sdrive)
+    sdrive.set_defaults(func=_shard_drive)
 
 
 def _resolve_campaign_spec(args, obs_on: bool):
-    """Expand the shared matrix flags into ``(spec, names, configs)``.
-    One resolver for ``campaign`` and ``shard plan`` keeps the expanded
-    task matrix -- and therefore the journal fingerprint -- identical
-    for identical flags."""
+    """Expand the shared matrix flags into ``(spec, config_doc)``.  One
+    resolver for ``campaign`` and ``shard plan`` keeps the expanded task
+    matrix -- and therefore the journal fingerprint -- identical for
+    identical flags.  The config document is what the results DB
+    fingerprints; the shard plan manifest carries it, so a merged shard
+    campaign records the same row as an unsharded one."""
     from repro.harness.campaign import (CampaignSpec, NAMED_CONFIGS,
                                         WorkloadSpec)
-    if args.workloads == "all":
-        names = sorted(WORKLOADS)
-    else:
-        names = [n.strip() for n in args.workloads.split(",") if n.strip()]
-    unknown = [n for n in names if n not in WORKLOADS]
-    if unknown:
-        raise _MatrixError(f"unknown workloads: {', '.join(unknown)}")
+    names = parse_workloads(args.workloads)
     configs = []
     for cname in args.configs.split(","):
         cname = cname.strip()
         if cname not in NAMED_CONFIGS:
-            raise _MatrixError(
+            raise UsageError(
                 f"unknown config {cname!r} (choose from "
                 f"{', '.join(sorted(NAMED_CONFIGS))})")
         config = NAMED_CONFIGS[cname]()
@@ -180,11 +172,7 @@ def _resolve_campaign_spec(args, obs_on: bool):
         config.consistency = args.consistency
         config.model_seed = args.model_seed
         if args.detectors:
-            try:
-                config.detectors = tuple(
-                    parse_detector_list(args.detectors))
-            except KeyError as exc:
-                raise _MatrixError(exc.args[0])
+            config.detectors = tuple(parse_detectors(args.detectors))
         configs.append(config)
     spec = CampaignSpec(
         workloads=[WorkloadSpec(name=n) for n in names],
@@ -192,14 +180,7 @@ def _resolve_campaign_spec(args, obs_on: bool):
         master_seed=args.master_seed, task_timeout=args.timeout,
         task_retries=args.retries, retry_backoff=args.retry_backoff,
         obs=obs_on)
-    return spec, names, configs
-
-
-def _campaign_config_doc(args, names, configs) -> dict:
-    """The campaign config document the results DB fingerprints.
-    Shared by ``campaign --db`` and the shard plan manifest so a merged
-    shard campaign records a row byte-identical to an unsharded one."""
-    return {
+    config_doc = {
         "command": "campaign",
         "workloads": sorted(names),
         "configs": sorted(c.name for c in configs),
@@ -210,6 +191,7 @@ def _campaign_config_doc(args, names, configs) -> dict:
         "detectors": args.detectors,
         "consistency": args.consistency,
     }
+    return spec, config_doc
 
 
 def _parse_shard_flag(value: str) -> Tuple[int, int]:
@@ -218,32 +200,73 @@ def _parse_shard_flag(value: str) -> Tuple[int, int]:
         k_text, n_text = value.split("/", 1)
         k, n = int(k_text), int(n_text)
     except ValueError:
-        raise _MatrixError(f"--shard wants K/N (e.g. 2/4), got {value!r}")
+        raise UsageError(f"--shard wants K/N (e.g. 2/4), got {value!r}")
     if n < 1 or not 1 <= k <= n:
-        raise _MatrixError(f"--shard {value}: K must be in 1..N")
+        raise UsageError(f"--shard {value}: K must be in 1..N")
     return k - 1, n
 
 
-def _cmd_campaign(args) -> int:
+def _task_count(spec, shard: Optional[Tuple[int, int]] = None) -> int:
+    """Tasks in the matrix, or in shard ``(index, count)`` of it: the
+    global indices ``i`` with ``i % count == index``."""
+    total = len(spec.workloads) * len(spec.configs) * spec.seeds
+    if shard is None:
+        return total
+    index, count = shard
+    return len(range(index, total, count))
+
+
+def _campaign_row(config: Dict[str, Any], spec,
+                  shard: Optional[Tuple[int, int]] = None) -> Row:
+    """The ``--db`` row of ``campaign``, ``shard run`` and ``shard
+    merge``: the same matrix (or the same shard of it) records the same
+    row whichever command ran it.  :func:`_campaign_outcome` is its
+    measured half."""
+    label = ("campaign" if shard is None
+             else f"campaign[shard {shard[0] + 1}/{shard[1]}]")
+    first = spec.configs[0] if spec.configs else None
+    return Row("campaign", label, config,
+               seeds={"master_seed": spec.master_seed},
+               detectors=first.detectors if first else (),
+               consistency=first.consistency if first else "")
+
+
+def _campaign_outcome(report, snapshot,
+                      heartbeat: Optional[Dict[str, Any]] = None) -> Outcome:
+    aggregate = report.aggregate
+    failed = report.failed_count
+    status = ("interrupted" if report.interrupted
+              else status_of(aggregate.violations > 0, failed > 0))
+    return Outcome(status, violations=aggregate.violations,
+                   events=aggregate.events, elapsed=report.elapsed,
+                   payload={"runs": report.completed, "failed": failed},
+                   fingerprints=sorted(aggregate.violation_fingerprints),
+                   snapshot=snapshot, heartbeat=heartbeat)
+
+
+def _print_report(report, table2: bool) -> None:
+    print(report.render_metrics())
+    if table2:
+        print()
+        print(report.render_table2())
+
+
+def _campaign(inv) -> Outcome:
+    from repro.harness import CampaignHeartbeat
     from repro.harness.campaign import run_campaign
+    from repro.harness.journal import JournalError
+
+    args = inv.args
     # --db wants the merged obs snapshot in the record, so recording a
     # campaign implies collecting task metrics even without --obs
-    obs_on = _obs_active(args) or bool(args.db)
-    try:
-        spec, names, configs = _resolve_campaign_spec(args, obs_on)
-        shard = _parse_shard_flag(args.shard) if args.shard else None
-    except _MatrixError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+    spec, config_doc = _resolve_campaign_spec(
+        args, obs_requested(args) or bool(args.db))
+    shard = _parse_shard_flag(args.shard) if args.shard else None
     if args.journal and args.resume:
-        print("--journal starts a fresh journal, --resume continues one; "
-              "give only the one you mean", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("--journal starts a fresh journal, --resume "
+                         "continues one; give only the one you mean")
     journal_dir = args.resume or args.journal
-    total = len(names) * len(configs) * args.seeds
-    if shard is not None:
-        index, count = shard
-        total = sum(1 for i in range(total) if i % count == index)
+    total = _task_count(spec, shard)
     done = [0]
 
     def progress(result) -> None:
@@ -259,64 +282,23 @@ def _cmd_campaign(args) -> int:
         print(f"[{done[0]}/{total}] {result.workload}/{result.config} "
               f"seed#{result.seed_index} -> {note}", file=sys.stderr)
 
-    from repro.harness.journal import JournalError
-    # graceful interruption: SIGTERM joins SIGINT in raising
-    # KeyboardInterrupt, which run_campaign absorbs into a partial
-    # report -- the journal keeps every finished task, the heartbeat
-    # gets its final (interrupted) record, and the exit code says
-    # degraded (3)
-    previous = _install_interrupt_handlers()
-    heartbeat = None
+    heartbeat = inv.start(_campaign_row(config_doc, spec, shard),
+                          heartbeat=CampaignHeartbeat, total=total,
+                          obs_on=spec.obs)
+    # keep_results=False: every result folds into the streaming
+    # aggregate on arrival, so parent memory stays O(1) in completed
+    # tasks no matter how large the matrix is.  A signal inside
+    # run_campaign yields the partial report, flagged interrupted.
     try:
-        # the heartbeat (whose stream file is what interrupt tests and
-        # operators watch for) is created only after the handlers are
-        # installed, so a signal racing the startup can never land in
-        # an unprotected window once the stream exists
-        if args.progress or args.heartbeat_out or args.db:
-            from repro.harness import CampaignHeartbeat
-            heartbeat = CampaignHeartbeat(
-                total, path=args.heartbeat_out,
-                interval=args.heartbeat_interval,
-                render=args.progress, stream=sys.stderr)
-        # keep_results=False: every result folds into the streaming
-        # aggregate on arrival, so parent memory stays O(1) in
-        # completed tasks no matter how large the matrix is
-        if spec.obs:
-            with obs.session() as handle:
-                report = run_campaign(spec, workers=args.workers,
-                                      budget=args.budget,
-                                      on_result=progress,
-                                      journal_dir=journal_dir,
-                                      resume=bool(args.resume),
-                                      heartbeat=heartbeat,
-                                      keep_results=False, shard=shard)
-        else:
-            handle = None
-            report = run_campaign(spec, workers=args.workers,
-                                  budget=args.budget, on_result=progress,
-                                  journal_dir=journal_dir,
-                                  resume=bool(args.resume),
-                                  heartbeat=heartbeat,
-                                  keep_results=False, shard=shard)
+        report = run_campaign(spec, workers=args.workers,
+                              budget=args.budget, on_result=progress,
+                              journal_dir=journal_dir,
+                              resume=bool(args.resume),
+                              heartbeat=heartbeat,
+                              keep_results=False, shard=shard)
     except JournalError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    except KeyboardInterrupt:
-        # the signal landed outside run_campaign's absorbing region
-        # (setup or teardown); still flush telemetry and exit degraded
-        # instead of dying with a traceback
-        if heartbeat is not None:
-            heartbeat.interrupted = True
-            heartbeat.finish()
-        print("campaign interrupted before any report was produced; "
-              "journal and heartbeat are flushed", file=sys.stderr)
-        return EXIT_DEGRADED
-    finally:
-        _restore_interrupt_handlers(previous)
-    print(report.render_metrics())
-    if args.table2:
-        print()
-        print(report.render_table2())
+        raise UsageError(str(exc)) from None
+    _print_report(report, args.table2)
     completed = report.completed
     failed_count = report.failed_count
     print(f"{completed} runs ({completed - failed_count}"
@@ -327,220 +309,105 @@ def _cmd_campaign(args) -> int:
         print(f"  {result.workload}/{result.config} seed#"
               f"{result.seed_index}: {result.status}: {first_line[0]}",
               file=sys.stderr)
-    final_snapshot = None
-    if handle is not None:
-        # task snapshots (folded as they arrived) + the parent's own
-        # pool counters, merged into one campaign-wide view; computed
-        # once so the --metrics-out file and the db record are
-        # byte-identical
-        merged = report.merged_obs()
-        snapshots = ([merged] if merged is not None else [])
-        snapshots.append(handle.registry.snapshot())
-        final_snapshot = obs.merge_snapshots(snapshots)
-        if _obs_active(args):
-            _obs_emit(args, final_snapshot, handle.tracer)
-    violations = report.aggregate.violations > 0
-    code = _exit_code(violations, failed_count > 0)
     if report.interrupted:
-        code = EXIT_DEGRADED
         print(f"campaign interrupted after {completed} of "
               f"{total} runs; journal and heartbeat are flushed"
               + (", resume with --resume" if journal_dir else ""),
               file=sys.stderr)
-    if args.db:
-        from repro import resultsdb
-        config = _campaign_config_doc(args, names, configs)
-        label = ("campaign" if shard is None
-                 else f"campaign[shard {shard[0] + 1}/{shard[1]}]")
-        summary = heartbeat.summary() if heartbeat is not None else None
-        run_id = resultsdb.write_run(
-            args.db, "campaign", label, config,
-            status=("interrupted" if report.interrupted
-                    else _status_of(code)),
-            violations=report.aggregate.violations,
-            events=report.aggregate.events,
-            elapsed=report.elapsed,
-            master_seed=args.master_seed,
-            detectors=(parse_detector_list(args.detectors)
-                       if args.detectors else ()),
-            consistency=args.consistency,
-            payload={"runs": completed, "failed": failed_count},
-            obs=final_snapshot,
-            violation_fingerprints=sorted(
-                report.aggregate.violation_fingerprints),
-            heartbeat=summary)
-        print(f"recorded campaign {run_id} in {args.db}", file=sys.stderr)
-    return code
+    return _campaign_outcome(report, report.merged_obs())
 
 
-def _cmd_shard(args) -> int:
-    """``repro shard``: plan, run, merge, drive."""
-    cmd = args.shard_command
-    if cmd == "plan":
-        return _cmd_shard_plan(args)
-    if cmd == "run":
-        return _cmd_shard_run(args)
-    if cmd == "merge":
-        return _cmd_shard_merge(args)
-    if cmd == "drive":
-        return _cmd_shard_drive(args)
-    raise AssertionError(f"unhandled shard command {cmd!r}")
-
-
-def _cmd_shard_plan(args) -> int:
+def _shard_plan(inv) -> Outcome:
     from repro.harness import shard as shardlib
+    args = inv.args
     # shards collect per-task metrics by default so the merged report
     # carries the campaign-wide obs snapshot, exactly like
     # `campaign --db`; --no-obs opts out for throughput runs
-    try:
-        spec, names, configs = _resolve_campaign_spec(
-            args, obs_on=not args.no_obs)
-    except _MatrixError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    config_doc = _campaign_config_doc(args, names, configs)
+    spec, config_doc = _resolve_campaign_spec(args, obs_on=not args.no_obs)
     try:
         plan = shardlib.plan_shards(spec, args.shards, args.out,
                                     config_doc=config_doc)
     except shardlib.ShardError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    per_shard = [sum(1 for i in range(plan.total_tasks)
-                     if i % plan.count == k) for k in range(plan.count)]
+        raise UsageError(str(exc)) from None
+    per_shard = [_task_count(spec, (k, plan.count))
+                 for k in range(plan.count)]
     print(f"planned {plan.total_tasks} tasks across {plan.count} "
           f"shard(s) in {args.out} ({min(per_shard)}-{max(per_shard)} "
           f"tasks/shard, fingerprint {plan.fingerprint[:16]})")
-    return EXIT_OK
+    return Outcome()
 
 
-def _cmd_shard_run(args) -> int:
-    import os
+def _plan_config(shard_dir: str, spec) -> Dict[str, Any]:
+    """The config document of the plan a shard directory belongs to (a
+    minimal one when the shard was moved away from its plan)."""
+    from repro.harness import shard as shardlib
+    try:
+        config = shardlib.load_plan(
+            os.path.dirname(os.path.abspath(shard_dir))).config
+    except shardlib.ShardError:
+        config = None
+    return config or {"command": "campaign",
+                      "workloads": sorted(w.name for w in spec.workloads),
+                      "configs": sorted(c.name for c in spec.configs),
+                      "seeds": spec.seeds}
+
+
+def _shard_run(inv) -> Outcome:
     from repro.harness import CampaignHeartbeat
     from repro.harness import shard as shardlib
     from repro.harness.campaign import run_campaign
     from repro.harness.journal import JOURNAL_NAME, JournalError
+
+    args = inv.args
     try:
-        spec, (index, count) = shardlib.load_shard(args.shard_dir)
+        spec, shard = shardlib.load_shard(args.shard_dir)
     except shardlib.ShardError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    total = sum(1 for t in spec.tasks() if t.index % count == index)
+        raise UsageError(str(exc)) from None
+    total = _task_count(spec, shard)
     # rerunning a shard directory always resumes its journal: the
     # normal recovery path after a crash or kill is simply to run the
     # same command again
     resume = os.path.exists(os.path.join(args.shard_dir, JOURNAL_NAME))
-    previous = _install_interrupt_handlers()
-    handle = None
-    heartbeat = None
+    # the shard's metrics file is its contribution to the merged
+    # campaign snapshot: its task obs plus its own pool counters.
+    # merge_snapshots is associative and commutative, so folding the
+    # per-shard files reproduces the unsharded snapshot byte-identically
+    heartbeat = inv.start(
+        _campaign_row(_plan_config(args.shard_dir, spec), spec, shard),
+        heartbeat=CampaignHeartbeat, total=total,
+        heartbeat_out=os.path.join(args.shard_dir, shardlib.HEARTBEAT_NAME),
+        metrics_out=(os.path.join(args.shard_dir, shardlib.METRICS_NAME)
+                     if spec.obs else None),
+        obs_on=spec.obs)
     try:
-        # created inside the guarded region (see _cmd_campaign): once
-        # the heartbeat stream exists, a signal cannot land outside it
-        heartbeat = CampaignHeartbeat(
-            total,
-            path=os.path.join(args.shard_dir, shardlib.HEARTBEAT_NAME),
-            interval=args.heartbeat_interval, render=False)
-        if spec.obs:
-            with obs.session() as handle:
-                report = run_campaign(
-                    spec, workers=args.workers, budget=args.budget,
-                    journal_dir=args.shard_dir, resume=resume,
-                    heartbeat=heartbeat, keep_results=False,
-                    shard=(index, count))
-        else:
-            report = run_campaign(
-                spec, workers=args.workers, budget=args.budget,
-                journal_dir=args.shard_dir, resume=resume,
-                heartbeat=heartbeat, keep_results=False,
-                shard=(index, count))
+        report = run_campaign(
+            spec, workers=args.workers, budget=args.budget,
+            journal_dir=args.shard_dir, resume=resume,
+            heartbeat=heartbeat, keep_results=False, shard=shard)
     except JournalError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
-    except KeyboardInterrupt:
-        # signal outside run_campaign's absorbing region: flush the
-        # shard telemetry and exit degraded; rerunning the shard
-        # directory resumes its journal
-        if heartbeat is not None:
-            heartbeat.interrupted = True
-            heartbeat.finish()
-        print(f"shard {index + 1}/{count} interrupted; rerun "
-              f"`repro shard run {args.shard_dir}` to resume",
-              file=sys.stderr)
-        return EXIT_DEGRADED
-    finally:
-        _restore_interrupt_handlers(previous)
-    final_snapshot = None
-    if handle is not None:
-        merged = report.merged_obs()
-        snapshots = ([merged] if merged is not None else [])
-        snapshots.append(handle.registry.snapshot())
-        final_snapshot = obs.merge_snapshots(snapshots)
-        # the shard's contribution to the merged campaign snapshot:
-        # its task obs plus its own pool counters.  merge_snapshots is
-        # associative and commutative, so folding these per-shard files
-        # reproduces the unsharded final snapshot byte-identically.
-        obs.atomic_write_text(
-            os.path.join(args.shard_dir, shardlib.METRICS_NAME),
-            json.dumps(final_snapshot, sort_keys=True, indent=2) + "\n")
+        raise UsageError(str(exc)) from None
     completed = report.completed
     failed_count = report.failed_count
-    print(f"shard {index + 1}/{count}: {completed}/{total} tasks "
+    print(f"shard {shard[0] + 1}/{shard[1]}: {completed}/{total} tasks "
           f"({completed - failed_count} ok, {failed_count} "
           f"failed/skipped) in {report.elapsed:.1f}s")
-    violations = report.aggregate.violations > 0
-    code = _exit_code(violations, failed_count > 0)
     if report.interrupted:
-        code = EXIT_DEGRADED
         print(f"shard interrupted; the journal is flushed, rerun "
               f"`repro shard run {args.shard_dir}` to resume",
               file=sys.stderr)
-    if args.db:
-        from repro import resultsdb
-        config_doc = None
-        try:
-            parent = shardlib.load_plan(
-                os.path.dirname(os.path.abspath(args.shard_dir)))
-            config_doc = parent.config
-        except shardlib.ShardError:
-            pass
-        if config_doc is None:
-            config_doc = {"command": "campaign",
-                          "workloads": sorted(w.name
-                                              for w in spec.workloads),
-                          "configs": sorted(c.name for c in spec.configs),
-                          "seeds": spec.seeds}
-        run_id = resultsdb.write_run(
-            args.db, "campaign",
-            f"campaign[shard {index + 1}/{count}]", config_doc,
-            status=("interrupted" if report.interrupted
-                    else _status_of(code)),
-            violations=report.aggregate.violations,
-            events=report.aggregate.events,
-            elapsed=report.elapsed,
-            master_seed=spec.master_seed,
-            consistency=(spec.configs[0].consistency
-                         if spec.configs else ""),
-            payload={"runs": completed, "failed": failed_count},
-            obs=final_snapshot,
-            violation_fingerprints=sorted(
-                report.aggregate.violation_fingerprints),
-            heartbeat=heartbeat.summary())
-        print(f"recorded shard {run_id} in {args.db}", file=sys.stderr)
-    return code
+    return _campaign_outcome(report, report.merged_obs())
 
 
-def _cmd_shard_merge(args) -> int:
+def _shard_merge(inv) -> Outcome:
     from repro.harness import shard as shardlib
     from repro.harness.journal import JournalError
     try:
-        merge = shardlib.merge_shards(args.plan_dir)
+        merge = shardlib.merge_shards(inv.args.plan_dir)
     except (shardlib.ShardError, JournalError) as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(str(exc)) from None
+    inv.start(_campaign_row(merge.plan.config or {}, merge.plan.spec))
     report = merge.report
-    print(report.render_metrics())
-    if args.table2:
-        print()
-        print(report.render_table2())
+    _print_report(report, inv.args.table2)
     completed = report.completed
     failed_count = report.failed_count
     print(f"merged {len(merge.shards)}/{merge.plan.count} shard "
@@ -553,61 +420,23 @@ def _cmd_shard_merge(args) -> int:
               f"journal (e.g. indices {sample}); the merged report is "
               f"partial -- rerun the missing shards and merge again",
               file=sys.stderr)
-    if args.metrics_out:
-        if merge.obs is None:
-            print("no shard metrics snapshots to merge (planned with "
-                  "--no-obs?)", file=sys.stderr)
-        else:
-            obs.atomic_write_text(
-                args.metrics_out,
-                json.dumps(merge.obs, sort_keys=True, indent=2) + "\n")
-            print(f"metrics written to {args.metrics_out}",
-                  file=sys.stderr)
-    violations = report.aggregate.violations > 0
-    code = _exit_code(violations, failed_count > 0)
-    if merge.missing:
-        code = EXIT_DEGRADED
-    if args.db:
-        from repro import resultsdb
-        config = merge.plan.config or {}
-        detectors = ()
-        if config.get("detectors"):
-            try:
-                detectors = tuple(parse_detector_list(config["detectors"]))
-            except KeyError:
-                detectors = ()
-        run_id = resultsdb.write_run(
-            args.db, "campaign", "campaign", config,
-            status=("interrupted" if merge.missing else _status_of(code)),
-            violations=report.aggregate.violations,
-            events=report.aggregate.events,
-            elapsed=report.elapsed,
-            master_seed=merge.plan.spec.master_seed,
-            detectors=detectors,
-            consistency=config.get("consistency", ""),
-            payload={"runs": completed, "failed": failed_count},
-            obs=merge.obs,
-            violation_fingerprints=sorted(
-                report.aggregate.violation_fingerprints),
-            heartbeat=merge.heartbeat)
-        print(f"recorded campaign {run_id} in {args.db}", file=sys.stderr)
-    return code
+    # a partial merge reports interrupted (see merge_shards)
+    return _campaign_outcome(report, merge.obs, heartbeat=merge.heartbeat)
 
 
-def _cmd_shard_drive(args) -> int:
+def _shard_drive(inv) -> Outcome:
     from repro.harness import shard as shardlib
     try:
-        codes = shardlib.drive_shards(args.plan_dir, workers=args.workers)
+        codes = shardlib.drive_shards(inv.args.plan_dir,
+                                      workers=inv.args.workers)
     except shardlib.ShardError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(str(exc)) from None
     for index in sorted(codes):
         print(f"shard {index + 1}/{len(codes)}: exit {codes[index]}",
               file=sys.stderr)
-    bad = {i: c for i, c in codes.items()
-           if c not in (EXIT_OK, EXIT_VIOLATIONS)}
+    bad = {i: c for i, c in codes.items() if c not in (0, 1)}
     if bad:
         print(f"{len(bad)} shard(s) did not complete cleanly (see "
               f"shard.log in each shard directory); merging what "
               f"finished", file=sys.stderr)
-    return _cmd_shard_merge(args)
+    return _shard_merge(inv)

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import sys
-import time as _time
 
-import repro.obs as obs
-from repro.cli.lifecycle import (EXIT_OK, EXIT_USAGE, EXIT_VIOLATIONS,
-                                 _add_db_flag, _add_obs_flags, _exit_code,
-                                 _obs_active, _obs_emit, _status_of)
+from repro.cli.lifecycle import (Outcome, Row, UsageError, add_db_flag,
+                                 add_obs_flags, status_of)
 
 
 def register(sub) -> None:
@@ -49,56 +47,33 @@ def register(sub) -> None:
                       choices=["strict", "tso"],
                       help="memory model for --directed probes "
                       "(default: tso)")
-    _add_obs_flags(fuzz)
-    _add_db_flag(fuzz)
+    add_obs_flags(fuzz)
+    add_db_flag(fuzz)
+    fuzz.set_defaults(func=_fuzz)
 
 
-def _cmd_fuzz(args) -> int:
-    db_info = {} if args.db else None
-    snapshot = None
-    start = _time.perf_counter()
-    if not _obs_active(args):
-        code = _run_fuzz_cmd(args, db_info)
-    else:
-        with obs.session() as handle:
-            code = _run_fuzz_cmd(args, db_info)
-        snapshot = handle.registry.snapshot()
-        _obs_emit(args, snapshot, handle.tracer)
-    if db_info is not None and code != EXIT_USAGE:
-        from repro import resultsdb
-        config = {
-            "command": "fuzz",
-            "budget": args.budget,
-            "programs": args.programs,
-            "seeds": args.seeds,
-            "minimize": bool(args.minimize),
-            "faults": bool(args.faults),
-            "directed": bool(args.directed),
-            "probes": args.probes,
-            "consistency": args.consistency,
-        }
-        run_id = resultsdb.write_run(
-            args.db, "fuzz",
-            "directed" if args.directed else "fuzz", config,
-            status=_status_of(code),
-            violations=db_info.get("violations", 0),
-            events=db_info.get("events", 0),
-            elapsed=_time.perf_counter() - start,
-            master_seed=args.master_seed,
-            consistency=args.consistency,
-            payload=db_info.get("payload"),
-            obs=snapshot)
-        print(f"recorded fuzz {run_id} in {args.db}", file=sys.stderr)
-    return code
-
-
-def _run_fuzz_cmd(args, db_info=None) -> int:
+def _fuzz(inv) -> Outcome:
     from repro.fuzz import (load_corpus, rediscovered, run_fuzz,
                             save_corpus)
+    args = inv.args
     if args.budget is not None and args.budget <= 0:
         args.budget = None
+    if args.directed and args.probes <= 0:
+        raise UsageError("--probes must be positive")
+    inv.start(Row("fuzz", "directed" if args.directed else "fuzz", {
+        "command": "fuzz",
+        "budget": args.budget,
+        "programs": args.programs,
+        "seeds": args.seeds,
+        "minimize": bool(args.minimize),
+        "faults": bool(args.faults),
+        "directed": bool(args.directed),
+        "probes": args.probes,
+        "consistency": args.consistency,
+    }, seeds={"master_seed": args.master_seed},
+        consistency=args.consistency))
     if args.directed:
-        return _run_directed_hunt(args, db_info)
+        return _directed_hunt(args)
     try:
         report = run_fuzz(budget=args.budget, max_programs=args.programs,
                           probes_per_program=args.seeds,
@@ -107,22 +82,13 @@ def _run_fuzz_cmd(args, db_info=None) -> int:
                           minimize=args.minimize,
                           fault_mode=args.faults)
     except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(str(exc)) from None
     print(report.describe())
-    if db_info is not None:
-        import dataclasses
-        db_info["violations"] = report.stats.violations
-        db_info["events"] = report.stats.probes
-        db_info["payload"] = {"stats": dataclasses.asdict(report.stats),
-                              "findings": len(report.findings),
-                              "elapsed": report.elapsed}
     if args.corpus:
         try:
             entries = load_corpus(args.corpus)
         except OSError as exc:
-            print(f"cannot read corpus: {exc}", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError(f"cannot read corpus: {exc}") from None
         hits = rediscovered(report, entries)
         print(f"corpus: rediscovered {len(hits)}/{len(entries)} entries")
         for entry in hits:
@@ -131,28 +97,30 @@ def _run_fuzz_cmd(args, db_info=None) -> int:
         entries = save_corpus(args.save_corpus, report.findings)
         print(f"saved {len(entries)} corpus entries to {args.save_corpus}")
     stats = report.stats
+    # a failed oracle is the fuzzer's "violation"; worker errors mean
+    # probes were silently lost: a degraded session
+    status = status_of(False, stats.errors > 0)
     if stats.replay_divergences:
         print("FAIL: live and trace-replayed online SVD disagreed "
               f"{stats.replay_divergences} time(s)", file=sys.stderr)
-        return EXIT_VIOLATIONS
-    if stats.fault_crashes or stats.fault_isolation_breaks:
+        status = "violations"
+    elif stats.fault_crashes or stats.fault_isolation_breaks:
         print(f"FAIL: fault oracle: {stats.fault_crashes} uncaught "
               f"crash(es), {stats.fault_isolation_breaks} isolation "
               f"break(s)", file=sys.stderr)
-        return EXIT_VIOLATIONS
-    # worker errors mean probes were silently lost: a degraded session
-    return _exit_code(False, stats.errors > 0)
+        status = "violations"
+    return Outcome(status, violations=stats.violations, events=stats.probes,
+                   payload={"stats": dataclasses.asdict(stats),
+                            "findings": len(report.findings),
+                            "elapsed": report.elapsed})
 
 
-def _run_directed_hunt(args, db_info=None) -> int:
+def _directed_hunt(args) -> Outcome:
     """``fuzz --directed``: conflict-directed vs random violation hunt
     over the transactional workloads at equal probe budgets."""
     from repro.fuzz.directed import compare_hunts, describe_comparison
     from repro.workloads import TXN_WORKLOADS
 
-    if args.probes <= 0:
-        print("--probes must be positive", file=sys.stderr)
-        return EXIT_USAGE
     workloads = [factory() for factory in TXN_WORKLOADS.values()]
     pairs = compare_hunts(workloads, args.probes,
                           master_seed=args.master_seed,
@@ -174,16 +142,15 @@ def _run_directed_hunt(args, db_info=None) -> int:
             print(f"  replay {directed.workload}: schedule seed "
                   f"{hit.schedule_seed}, model seed {hit.model_seed} "
                   f"-> {hit.detail}")
-    if db_info is not None:
-        db_info["violations"] = directed_hits + random_hits
-        db_info["events"] = sum(d.probes + r.probes for d, r in pairs)
-        db_info["payload"] = {
-            "arms": [{"workload": arm.workload, "mode": arm.mode,
-                      "probes": arm.probes, "violations": arm.violations,
-                      "elapsed": arm.elapsed}
-                     for pair in pairs for arm in pair],
-            "elapsed": elapsed}
     # the hunt *measures* violation yield; finding seeded violations in
     # the buggy transactional workloads is the expected outcome, so the
-    # exit code only distinguishes "ran" from "could not run"
-    return EXIT_OK
+    # status only distinguishes "ran" from "could not run"
+    return Outcome(
+        violations=directed_hits + random_hits,
+        events=sum(d.probes + r.probes for d, r in pairs),
+        payload={"arms": [{"workload": arm.workload, "mode": arm.mode,
+                           "probes": arm.probes,
+                           "violations": arm.violations,
+                           "elapsed": arm.elapsed}
+                          for pair in pairs for arm in pair],
+                 "elapsed": elapsed})

@@ -3,20 +3,20 @@
 from __future__ import annotations
 
 import sys
-import time as _time
 from typing import List, Sequence
 
 import repro.obs as obs
-from repro.cli.lifecycle import (EXIT_USAGE, _add_consistency_flags,
-                                 _add_db_flag, _add_obs_flags, _exit_code,
-                                 _obs_active, _obs_emit, _status_of)
+from repro.cli.lifecycle import (Outcome, Row, UsageError,
+                                 add_consistency_flags, add_db_flag,
+                                 add_obs_flags, load_fault_plan,
+                                 load_program, parse_detectors, status_of)
 from repro.core import OnlineSVD
-from repro.engine import DetectorEngine, available, parse_detector_list
-from repro.harness import measure_overhead, render_table, run_workload
+from repro.engine import DetectorEngine, available
+from repro.harness import measure_overhead, render_table
+from repro.harness.runner import record_run_metrics
 from repro.harness.table1 import render_table1, table1_rows
 from repro.harness.table2 import render_table2, table2_rows
-from repro.lang import LangError, compile_source
-from repro.machine import Machine, RandomScheduler
+from repro.machine import Machine, RandomScheduler, resolve_model
 from repro.trace import TraceRecorder
 from repro.workloads import (WORKLOADS, apache_log, mysql_prepared,
                              queue_region, stringbuffer)
@@ -49,9 +49,10 @@ def register(sub) -> None:
                      "faults exercise engine quarantine, trace faults "
                      "round-trip the run through a corrupted trace file "
                      "and the salvaging reader")
-    _add_consistency_flags(run)
-    _add_obs_flags(run)
-    _add_db_flag(run)
+    add_consistency_flags(run)
+    add_obs_flags(run)
+    add_db_flag(run)
+    run.set_defaults(func=_run)
 
     execute = sub.add_parser("exec", help="compile and run a MiniSMP file")
     execute.add_argument("source", help="path to the MiniSMP source file")
@@ -67,6 +68,7 @@ def register(sub) -> None:
     execute.add_argument("--record", metavar="PATH",
                          help="save a replayable schedule recording")
     execute.add_argument("--max-steps", type=int, default=1_000_000)
+    execute.set_defaults(func=_exec)
 
     analyze = sub.add_parser(
         "analyze", help="run trace-based detectors over a saved trace")
@@ -86,6 +88,7 @@ def register(sub) -> None:
                          help="recover what the framing checksums can "
                          "vouch for from a damaged trace instead of "
                          "failing on the first bad record")
+    analyze.set_defaults(func=_analyze)
 
     replay = sub.add_parser(
         "replay", help="replay a schedule recording with detectors")
@@ -94,23 +97,28 @@ def register(sub) -> None:
     replay.add_argument("recording", help="file saved by `exec --record`")
     replay.add_argument("--svd", action="store_true",
                         help="attach the online detector during replay")
+    replay.set_defaults(func=_replay)
 
     comp = sub.add_parser("compile", help="compile and show the listing")
     comp.add_argument("source")
     comp.add_argument("--stats", action="store_true",
                       help="print layout statistics instead of a listing")
+    comp.set_defaults(func=_compile)
 
     t1 = sub.add_parser("table1", help="regenerate Table 1")
     t1.add_argument("--seed", type=int, default=3)
+    t1.set_defaults(func=_table1)
 
     t2 = sub.add_parser("table2", help="regenerate Table 2")
     t2.add_argument("--scale", type=int, default=1)
     t2.add_argument("--max-steps", type=int, default=400_000)
+    t2.set_defaults(func=_table2)
 
     over = sub.add_parser("overhead", help="measure detection overheads")
     over.add_argument("workload", choices=sorted(WORKLOADS), nargs="?",
                       default="mysql-tablelock")
     over.add_argument("--repeats", type=int, default=2)
+    over.set_defaults(func=_overhead)
 
 
 def _parse_threads(specs: Sequence[str]) -> List:
@@ -122,36 +130,23 @@ def _parse_threads(specs: Sequence[str]) -> List:
     return threads
 
 
-def _cmd_run(args) -> int:
-    plan = None
-    if args.inject:
-        from repro.faults import FaultPlan
-        try:
-            plan = FaultPlan.load(args.inject)
-        except (OSError, ValueError) as exc:
-            print(f"cannot load fault plan: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        print(plan.describe(), file=sys.stderr)
-    db_info = {} if args.db else None
-    snapshot = None
-    start = _time.perf_counter()
-    if not _obs_active(args):
-        code = _run_workload_cmd(args, plan, db_info)
-    else:
-        with obs.session() as handle:
-            code = _run_workload_cmd(args, plan, db_info)
-        snapshot = handle.registry.snapshot()
-        _obs_emit(args, snapshot, handle.tracer)
-    if db_info is not None and code != EXIT_USAGE:
-        _db_record_run(args, code, db_info, snapshot,
-                       elapsed=_time.perf_counter() - start)
-    return code
+def _run(inv) -> Outcome:
+    """One execution of a bundled workload under one engine; SVD in the
+    set adds its a-posteriori log and the ``runner.*``/``svd.*``
+    metrics."""
+    import repro.faults.runtime as faults
 
-
-def _db_record_run(args, code, db_info, snapshot, elapsed) -> None:
-    """Append one ``repro run`` outcome to the results database."""
-    from repro import resultsdb
-    config = {
+    args = inv.args
+    if args.fixed and args.workload not in _FIXABLE:
+        raise UsageError(f"workload {args.workload!r} has no patched "
+                         f"variant")
+    # --detector X means --detectors X, with 'all' the SVD+FRD pair
+    names = parse_detectors(args.detectors or (
+        "svd,frd" if args.detector == "all" else args.detector))
+    plan = load_fault_plan(args.inject)
+    model_seed = (args.model_seed if args.model_seed is not None
+                  else args.seed)
+    inv.start(Row("run", args.workload, {
         "command": "run",
         "workload": args.workload,
         "fixed": bool(args.fixed),
@@ -161,22 +156,47 @@ def _db_record_run(args, code, db_info, snapshot, elapsed) -> None:
         "max_steps": args.max_steps,
         "consistency": args.consistency,
         "inject": bool(args.inject),
-    }
-    run_id = resultsdb.write_run(
-        args.db, "run", args.workload, config,
-        status=_status_of(code),
-        violations=db_info.get("violations", 0),
-        events=db_info.get("events", 0),
-        elapsed=elapsed,
-        schedule_seed=args.seed,
-        model_seed=(args.model_seed if args.model_seed is not None
-                    else args.seed),
-        detectors=db_info.get("detectors", ()),
-        consistency=args.consistency,
-        obs=snapshot,
-        violation_fingerprints=resultsdb.violation_report_fingerprints(
-            db_info.get("reports", {})))
-    print(f"recorded run {run_id} in {args.db}", file=sys.stderr)
+    }, seeds={"schedule_seed": args.seed, "model_seed": model_seed},
+        detectors=sorted(names), consistency=args.consistency))
+
+    workload = (_FIXABLE[args.workload](fixed=True) if args.fixed
+                else WORKLOADS[args.workload]())
+    print(f"workload: {workload.description}")
+    keep_trace = plan is not None and bool(plan.trace_faults())
+    with faults.install(plan):
+        engine = DetectorEngine(workload.program, names)
+        machine = workload.make_machine(
+            RandomScheduler(seed=args.seed, switch_prob=args.switch_prob),
+            memmodel=resolve_model(args.consistency, model_seed))
+        result = engine.run_machine(machine, max_steps=args.max_steps,
+                                    keep_trace=keep_trace)
+    print(f"outcome : {workload.validate(machine).detail}")
+    print(f"status  : {result.status}, {result.end_seq} events, "
+          f"{result.stats.stream_passes} stream pass(es) for "
+          f"{len(result.requested)} detector(s)")
+    reports = {name: result.report(name) for name in result.requested}
+    for report in reports.values():
+        print()
+        print(report.describe())
+    if "svd" in reports:
+        svd = result.detector("svd")
+        print()
+        print(svd.log.describe(limit=5))
+        if obs.metrics_enabled():
+            record_run_metrics(result, svd, svd.instructions)
+    _print_failures(result.failures.values())
+    degraded = result.degraded
+    if keep_trace and result.trace is not None:
+        degraded = _trace_round_trip(result.trace, workload.program,
+                                     plan) or degraded
+    violations = sum(r.dynamic_count for r in reports.values())
+    fingerprints = ()
+    if args.db:
+        from repro.resultsdb import violation_report_fingerprints
+        fingerprints = violation_report_fingerprints(reports)
+    return Outcome(status_of(violations > 0, degraded),
+                   violations=violations, events=result.end_seq,
+                   fingerprints=fingerprints)
 
 
 def _print_failures(failures) -> None:
@@ -203,145 +223,16 @@ def _trace_round_trip(trace, program, plan) -> bool:
         return not report.clean
 
 
-def _run_workload_cmd(args, plan=None, db_info=None) -> int:
-    import repro.faults.runtime as faults
-    from repro.machine import resolve_model
-
-    def note(events, reports) -> None:
-        # collect what the results database wants from whichever
-        # branch ran: event count, detector set, and the report map
-        # the violation fingerprints derive from
-        if db_info is not None:
-            db_info["events"] = events
-            db_info["detectors"] = sorted(reports)
-            db_info["reports"] = reports
-            db_info["violations"] = sum(
-                getattr(r, "dynamic_count", 0) for r in reports.values())
-
-    model_seed = (args.model_seed if args.model_seed is not None
-                  else args.seed)
-    if args.fixed:
-        factory = _FIXABLE.get(args.workload)
-        if factory is None:
-            print(f"workload {args.workload!r} has no patched variant",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        workload = factory(fixed=True)
-    else:
-        workload = WORKLOADS[args.workload]()
-    print(f"workload: {workload.description}")
-    keep_trace = plan is not None and bool(plan.trace_faults())
-
-    if args.detectors:
-        try:
-            names = parse_detector_list(args.detectors)
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return EXIT_USAGE
-        with faults.install(plan):
-            engine = DetectorEngine(workload.program, names)
-            machine = workload.make_machine(
-                RandomScheduler(seed=args.seed,
-                                switch_prob=args.switch_prob),
-                memmodel=resolve_model(args.consistency, model_seed))
-            result = engine.run_machine(machine, max_steps=args.max_steps,
-                                        keep_trace=keep_trace)
-        print(f"outcome : {workload.validate(machine).detail}")
-        print(f"status  : {result.status}, {result.end_seq} events, "
-              f"{result.stats.stream_passes} stream pass(es) for "
-              f"{len(result.requested)} detector(s)")
-        reports = {name: result.report(name) for name in result.requested}
-        note(result.end_seq, reports)
-        violations = False
-        for name in result.requested:
-            print()
-            report = reports[name]
-            violations = violations or report.dynamic_count > 0
-            print(report.describe())
-        degraded = result.degraded
-        _print_failures(result.failures.values())
-        if keep_trace and result.trace is not None:
-            degraded = _trace_round_trip(result.trace, workload.program,
-                                         plan) or degraded
-        return _exit_code(violations, degraded)
-
-    if args.detector in ("svd", "all"):
-        with faults.install(plan):
-            result = run_workload(workload, seed=args.seed,
-                                  switch_prob=args.switch_prob,
-                                  max_steps=args.max_steps,
-                                  run_frd=args.detector == "all",
-                                  keep_trace=keep_trace,
-                                  consistency=args.consistency,
-                                  model_seed=model_seed)
-        print(f"outcome : {result.outcome.detail}")
-        print(f"status  : {result.status}, "
-              f"{result.instructions} instructions, "
-              f"{result.cus_created} CUs")
-        stats = result.stats
-        if stats is not None:
-            print(f"engine  : {stats.stream_passes} stream pass(es), "
-                  f"{stats.total_events_dispatched} events dispatched "
-                  f"to {len(result.reports)} detector(s)")
-        print()
-        print(result.svd_report.describe())
-        if result.frd_report is not None:
-            print()
-            print(result.frd_report.describe())
-        print()
-        print(result.log.describe(limit=5))
-        note(result.instructions, result.reports)
-        violations = any(r.dynamic_count > 0
-                         for r in result.reports.values())
-        degraded = result.engine is not None and result.engine.degraded
-        if result.engine is not None:
-            _print_failures(result.engine.failures.values())
-        if (keep_trace and result.engine is not None
-                and result.engine.trace is not None):
-            degraded = _trace_round_trip(result.engine.trace,
-                                         workload.program, plan) or degraded
-        return _exit_code(violations, degraded)
-
-    # any other single detector resolves through the same registry
-    with faults.install(plan):
-        engine = DetectorEngine(workload.program, [args.detector])
-        machine = workload.make_machine(
-            RandomScheduler(seed=args.seed, switch_prob=args.switch_prob),
-            memmodel=resolve_model(args.consistency, model_seed))
-        result = engine.run_machine(machine, max_steps=args.max_steps,
-                                    keep_trace=keep_trace)
-    print(f"outcome : {workload.validate(machine).detail}")
-    report = result.report(result.requested[0])
-    note(result.end_seq, {result.requested[0]: report})
-    print(report.describe())
-    degraded = result.degraded
-    _print_failures(result.failures.values())
-    if keep_trace and result.trace is not None:
-        degraded = _trace_round_trip(result.trace, workload.program,
-                                     plan) or degraded
-    return _exit_code(report.dynamic_count > 0, degraded)
-
-
-def _cmd_exec(args) -> int:
-    try:
-        with open(args.source) as fh:
-            source = fh.read()
-    except OSError as exc:
-        print(f"cannot read {args.source}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        program = compile_source(source)
-    except LangError as exc:
-        print(f"compile error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def _exec(inv) -> Outcome:
+    args = inv.args
+    program = load_program(args.source)
     threads = _parse_threads(args.thread)
     if not threads:
         threads = [(name, ()) for name, spec in program.threads.items()
                    if not spec.param_offsets]
         if not threads:
-            print("no --thread given and every thread body takes "
-                  "parameters", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError("no --thread given and every thread body "
+                             "takes parameters")
     detector = OnlineSVD(program) if args.svd else None
     observers = [detector] if detector else []
     recorder = None
@@ -372,28 +263,22 @@ def _cmd_exec(args) -> int:
     print(f"status: {status} after {machine.steps} steps")
     if machine.output:
         print("output:", " ".join(str(v) for _t, v in machine.output))
-    for crash in machine.crashes:
-        loc = program.locs[crash.loc] if crash.loc >= 0 else "?"
-        print(f"CRASH thread {crash.tid}: {crash.reason} at {loc}")
+    _print_crashes(program, machine)
     if detector is not None:
         print()
         print(detector.report.describe())
-    return 0
+    return Outcome()
 
 
-def _cmd_compile(args) -> int:
-    try:
-        with open(args.source) as fh:
-            source = fh.read()
-    except OSError as exc:
-        print(f"cannot read {args.source}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        program = compile_source(source)
-    except LangError as exc:
-        print(f"compile error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.stats:
+def _print_crashes(program, machine) -> None:
+    for crash in machine.crashes:
+        loc = program.locs[crash.loc] if crash.loc >= 0 else "?"
+        print(f"CRASH thread {crash.tid}: {crash.reason} at {loc}")
+
+
+def _compile(inv) -> Outcome:
+    program = load_program(inv.args.source)
+    if inv.args.stats:
         rows = [(name, spec.entry, spec.frame_words, spec.reg_count)
                 for name, spec in program.threads.items()]
         print(render_table(["thread", "entry pc", "frame words", "regs"],
@@ -401,45 +286,36 @@ def _cmd_compile(args) -> int:
                            f"{program.shared_words} shared words"))
     else:
         print(program.disassemble())
-    return 0
+    return Outcome()
 
 
-def _cmd_table1(args) -> int:
-    print(render_table1(table1_rows(seed=args.seed)))
-    return 0
+def _table1(inv) -> Outcome:
+    print(render_table1(table1_rows(seed=inv.args.seed)))
+    return Outcome()
 
 
-def _cmd_table2(args) -> int:
-    print(render_table2(table2_rows(scale=args.scale,
-                                    max_steps=args.max_steps)))
-    return 0
+def _table2(inv) -> Outcome:
+    print(render_table2(table2_rows(scale=inv.args.scale,
+                                    max_steps=inv.args.max_steps)))
+    return Outcome()
 
 
-def _cmd_overhead(args) -> int:
-    result = measure_overhead(WORKLOADS[args.workload](),
-                              repeats=args.repeats)
+def _overhead(inv) -> Outcome:
+    result = measure_overhead(WORKLOADS[inv.args.workload](),
+                              repeats=inv.args.repeats)
     print(f"{result.workload}: {result.instructions} instructions")
     print(f"bare machine : {result.bare_seconds * 1e3:8.1f} ms")
     print(f"with SVD     : {result.svd_seconds * 1e3:8.1f} ms "
           f"({result.slowdown:.1f}x)")
     print(f"tracked state: {result.peak_detector_state} block entries "
           f"({result.memory_overhead_fraction:.2f}x program memory)")
-    return 0
+    return Outcome()
 
 
-def _cmd_analyze(args) -> int:
-    try:
-        with open(args.source) as fh:
-            source = fh.read()
-    except OSError as exc:
-        print(f"cannot read {args.source}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        program = compile_source(source)
-    except LangError as exc:
-        print(f"compile error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def _analyze(inv) -> Outcome:
     from repro.trace import Trace, TraceLoadError, TraceQuery
+    args = inv.args
+    program = load_program(args.source)
     degraded = False
     try:
         if args.salvage:
@@ -449,13 +325,10 @@ def _cmd_analyze(args) -> int:
         else:
             trace = Trace.load(args.trace, program)
     except TraceLoadError as exc:
-        print(str(exc), file=sys.stderr)
-        print("hint: --salvage recovers the readable records from a "
-              "damaged trace", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"{exc}\nhint: --salvage recovers the readable "
+                         f"records from a damaged trace") from None
     except OSError as exc:
-        print(f"cannot read {args.trace}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"cannot read {args.trace}: {exc}") from None
     print(f"loaded {len(trace)} events, {trace.n_threads} threads")
     if args.detector == "queries":
         query = TraceQuery(trace)
@@ -463,12 +336,8 @@ def _cmd_analyze(args) -> int:
         if args.variable:
             print()
             print(query.render_history(args.variable))
-        return _exit_code(False, degraded)
-    try:
-        names = parse_detector_list(args.detector)
-    except KeyError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return EXIT_USAGE
+        return Outcome(status_of(False, degraded))
+    names = parse_detectors(args.detector)
     result = DetectorEngine(program, names).run_trace(trace)
     violations = False
     for i, name in enumerate(result.requested):
@@ -478,43 +347,30 @@ def _cmd_analyze(args) -> int:
         violations = violations or report.dynamic_count > 0
         print(report.describe())
     _print_failures(result.failures.values())
-    return _exit_code(violations, degraded or result.degraded)
+    return Outcome(status_of(violations, degraded or result.degraded))
 
 
-def _cmd_replay(args) -> int:
-    try:
-        with open(args.source) as fh:
-            source = fh.read()
-    except OSError as exc:
-        print(f"cannot read {args.source}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        program = compile_source(source)
-    except LangError as exc:
-        print(f"compile error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def _replay(inv) -> Outcome:
     from repro.machine import Recording, replay_execution
+    args = inv.args
+    program = load_program(args.source)
     try:
         recording = Recording.load(args.recording)
     except OSError as exc:
-        print(f"cannot read {args.recording}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"cannot read {args.recording}: {exc}") from None
     detector = OnlineSVD(program) if args.svd else None
     try:
         machine = replay_execution(
             program, recording,
             observers=[detector] if detector else [])
     except ValueError as exc:
-        print(f"replay failed: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"replay failed: {exc}") from None
     print(f"replayed {machine.steps} steps deterministically "
           f"(status {machine.status})")
-    for crash in machine.crashes:
-        loc = program.locs[crash.loc] if crash.loc >= 0 else "?"
-        print(f"CRASH thread {crash.tid}: {crash.reason} at {loc}")
+    _print_crashes(program, machine)
     if detector is not None:
         print()
         print(detector.report.describe())
         print()
         print(detector.log.describe(limit=5))
-    return 0
+    return Outcome()

@@ -4,13 +4,10 @@ from __future__ import annotations
 
 import sys
 
-import repro.obs as obs
-from repro.cli.lifecycle import (EXIT_DEGRADED, EXIT_OK, EXIT_USAGE,
-                                 EXIT_VIOLATIONS, _add_consistency_flags,
-                                 _add_db_flag, _add_obs_flags, _obs_active,
-                                 _obs_emit)
-from repro.engine import parse_detector_list
-from repro.workloads import WORKLOADS
+from repro.cli.lifecycle import (Outcome, Row, UsageError,
+                                 add_consistency_flags, add_db_flag,
+                                 add_obs_flags, load_fault_plan,
+                                 parse_detectors, parse_workloads)
 
 
 def register(sub) -> None:
@@ -78,48 +75,24 @@ def register(sub) -> None:
                        help="render a live heartbeat status line")
     serve.add_argument("--quiet", action="store_true",
                        help="suppress the final summary lines")
-    _add_consistency_flags(serve)
-    _add_obs_flags(serve)
-    _add_db_flag(serve)
+    add_consistency_flags(serve)
+    add_obs_flags(serve)
+    add_db_flag(serve)
+    serve.set_defaults(func=_serve)
 
 
-def _cmd_serve(args) -> int:
-    """``repro serve``: the long-lived supervised detector fleet."""
+def _serve(inv) -> Outcome:
     import repro.faults.runtime as fault_runtime
     from repro.harness.heartbeat import ServeHeartbeat
     from repro.serve import ServeConfig, Supervisor
 
-    if args.workloads == "all":
-        names = sorted(WORKLOADS)
-    else:
-        names = [n.strip() for n in args.workloads.split(",") if n.strip()]
-    unknown = [n for n in names if n not in WORKLOADS]
-    if unknown:
-        print(f"unknown workloads: {', '.join(unknown)}", file=sys.stderr)
-        return EXIT_USAGE
-    detectors = ("svd",)
-    if args.detectors:
-        try:
-            detectors = tuple(parse_detector_list(args.detectors))
-        except KeyError as exc:
-            print(exc.args[0], file=sys.stderr)
-            return EXIT_USAGE
-    plan = None
-    if args.inject:
-        from repro.faults import FaultPlan
-        try:
-            plan = FaultPlan.load(args.inject)
-        except (OSError, ValueError) as exc:
-            print(f"cannot load fault plan: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        print(plan.describe(), file=sys.stderr)
-
-    heartbeat = None
-    if args.progress or args.heartbeat_out or args.db:
-        heartbeat = ServeHeartbeat(
-            args.executions, path=args.heartbeat_out,
-            interval=args.heartbeat_interval,
-            render=args.progress, stream=sys.stderr)
+    args = inv.args
+    names = parse_workloads(args.workloads)
+    detectors = (tuple(parse_detectors(args.detectors)) if args.detectors
+                 else ("svd",))
+    plan = load_fault_plan(args.inject)
+    if args.port_file and args.http_port is None:
+        raise UsageError("--port-file needs --http-port")
     try:
         config = ServeConfig(
             workloads=names, executions=args.executions,
@@ -133,28 +106,27 @@ def _cmd_serve(args) -> int:
             budget_events_per_sec=args.budget_events_per_sec,
             ladder_dwell=args.ladder_dwell,
             drain_grace=args.drain_grace,
-            http_port=args.http_port, port_file=args.port_file,
-            heartbeat=heartbeat)
+            http_port=args.http_port, port_file=args.port_file)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.port_file and args.http_port is None:
-        print("--port-file needs --http-port", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"error: {exc}") from None
+    # --db records the fleet's metrics, so it opens the obs session too
+    config.heartbeat = inv.start(Row("serve", "serve", {
+        "command": "serve",
+        "workloads": sorted(names),
+        "executions": args.executions,
+        "concurrency": args.concurrency,
+        "max_steps": args.max_steps,
+        "detectors": list(detectors),
+        "consistency": args.consistency,
+        "budget_events_per_sec": args.budget_events_per_sec,
+        "inject": bool(args.inject),
+    }, seeds={"master_seed": args.master_seed}, detectors=detectors,
+        consistency=args.consistency),
+        heartbeat=ServeHeartbeat, total=args.executions,
+        obs_on=bool(args.db))
     supervisor = Supervisor(config)
-
-    obs_on = _obs_active(args) or bool(args.db)
-    snapshot = None
     with fault_runtime.install(plan):
-        if obs_on:
-            with obs.session() as handle:
-                outcome = supervisor.run()
-            snapshot = handle.registry.snapshot()
-            if _obs_active(args):
-                _obs_emit(args, snapshot, handle.tracer)
-        else:
-            outcome = supervisor.run()
-
+        outcome = supervisor.run()
     totals = supervisor.totals
     if not args.quiet:
         print(f"serve: {outcome}: {totals.completed} completed, "
@@ -164,34 +136,6 @@ def _cmd_serve(args) -> int:
               f"{totals.violations} violation report(s), "
               f"ladder level {supervisor.ladder.level}",
               file=sys.stderr)
-    code = {"ok": EXIT_OK, "violations": EXIT_VIOLATIONS,
-            "degraded": EXIT_DEGRADED,
-            "interrupted": EXIT_DEGRADED}[outcome]
-    if args.db:
-        from repro import resultsdb
-        config_doc = {
-            "command": "serve",
-            "workloads": sorted(names),
-            "executions": args.executions,
-            "concurrency": args.concurrency,
-            "max_steps": args.max_steps,
-            "detectors": list(detectors),
-            "consistency": args.consistency,
-            "budget_events_per_sec": args.budget_events_per_sec,
-            "inject": bool(args.inject),
-        }
-        run_id = resultsdb.write_run(
-            args.db, "serve", "serve", config_doc,
-            status=outcome,
-            violations=totals.violations,
-            events=totals.events,
-            elapsed=supervisor.elapsed,
-            master_seed=args.master_seed,
-            detectors=detectors,
-            consistency=args.consistency,
-            payload=supervisor.final_payload(),
-            obs=snapshot,
-            heartbeat=(heartbeat.summary() if heartbeat is not None
-                       else None))
-        print(f"recorded serve {run_id} in {args.db}", file=sys.stderr)
-    return code
+    return Outcome(outcome, violations=totals.violations,
+                   events=totals.events, elapsed=supervisor.elapsed,
+                   payload=supervisor.final_payload())

@@ -75,6 +75,7 @@ class CampaignHeartbeat:
         self._samples: Deque[Tuple[float, int]] = deque()
         self._fh: Optional[TextIO] = None
         self._rendered = False
+        self._finished = False
         if path is not None:
             self._fh = open(path, "a")
 
@@ -185,9 +186,13 @@ class CampaignHeartbeat:
 
     def finish(self) -> Dict[str, Any]:
         """Force the final heartbeat, close the stream, and return the
-        final record (what the results database ingests)."""
+        final record (what the results database ingests).  Idempotent:
+        a second call returns the same final record."""
+        if self._finished:
+            return self.records[-1]
         record = self.beat(force=True)
         assert record is not None  # force=True always emits
+        self._finished = True
         if self._fh is not None:
             self._fh.close()
             self._fh = None

@@ -93,7 +93,7 @@ def detector_names(run_frd: bool = True,
     return names
 
 
-def _record_run_metrics(result: EngineResult, svd: OnlineSVD,
+def record_run_metrics(result: EngineResult, svd: OnlineSVD,
                         instructions: int) -> None:
     """Publish one run's deterministic quantities to the active registry."""
     registry = obs.metrics()
@@ -152,7 +152,7 @@ def run_workload(workload: Workload, seed: int = 0,
 
     metrics = classify_reports(result.reports, bug_locs, instructions)
     if obs.metrics_enabled():
-        _record_run_metrics(result, svd, instructions)
+        record_run_metrics(result, svd, instructions)
     frd_report = result.reports.get("frd")
     return RunResult(
         workload=workload.name,

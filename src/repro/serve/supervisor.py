@@ -56,6 +56,9 @@ SLOW_CONSUMER_CHUNK_SECONDS = 0.01
 #: supervisor outcome vocabulary (maps to CLI exit codes / DB status)
 OUTCOMES = ("ok", "violations", "degraded", "interrupted")
 
+#: the signals that drain the fleet
+_SIGNALS = (signal.SIGTERM, signal.SIGINT)
+
 
 @dataclass
 class ServeConfig:
@@ -142,9 +145,20 @@ class Supervisor:
         plan = fault_runtime.active()
         self._fault_map = (plan.serve_fault_map()
                            if plan is not None else {})
+        # SIGINT/SIGTERM are held until the loop's own handlers are in
+        # (see _main): a KeyboardInterrupt raised while the loop is
+        # being built would leave it half-constructed
+        held = signal.pthread_sigmask(signal.SIG_BLOCK, _SIGNALS)
         try:
-            asyncio.run(self._main())
+            asyncio.run(self._main(held))
+        except KeyboardInterrupt as exc:
+            # a signal outside the loop's own handlers (loop startup or
+            # teardown) is the same drain request; the loop is gone, so
+            # there is no stop event left to set
+            self._stop = None
+            self.request_shutdown(exc.args[0] if exc.args else "SIGINT")
         finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, held)
             self.elapsed = time.perf_counter() - self._started
             if self.http is not None:
                 self.http.stop()
@@ -215,19 +229,25 @@ class Supervisor:
 
     # -- main loop ---------------------------------------------------------
 
-    async def _main(self) -> None:
+    async def _main(self, held) -> None:
         loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
         if self._shutdown_reason is not None:  # pre-run request
             self._stop.set()
-        installed = []
-        for sig in (signal.SIGTERM, signal.SIGINT):
+        # the loop's handlers replace whatever the caller installed for
+        # the loop's lifetime; removing them resets to the defaults, so
+        # the caller's handlers are put back explicitly afterwards
+        installed = {}
+        for sig in _SIGNALS:
+            previous = signal.getsignal(sig)
             try:
                 loop.add_signal_handler(
                     sig, self.request_shutdown, signal.Signals(sig).name)
-                installed.append(sig)
+                installed[sig] = previous
             except (NotImplementedError, RuntimeError, ValueError):
                 pass  # non-main thread / platform without handlers
+        # the handlers are in: deliver any signal held back since run()
+        signal.pthread_sigmask(signal.SIG_SETMASK, held)
         if self.config.http_port is not None:
             self.http = StatusServer(port=self.config.http_port)
             self.http.route("/status", self.status_snapshot)
@@ -262,8 +282,10 @@ class Supervisor:
                 stop_wait.cancel()
         finally:
             watchdog.cancel()
-            for sig in installed:
+            for sig, previous in installed.items():
                 loop.remove_signal_handler(sig)
+                if previous is not None:  # None: not set from Python
+                    signal.signal(sig, previous)
 
     async def _watchdog(self) -> None:
         cfg = self.config

@@ -157,3 +157,41 @@ def test_merge_is_order_independent_and_idempotent(tmp_path, reference):
     code, stdout = _run_cli(["shard", "merge", plan_dir])
     assert code == 1
     assert _table(stdout) == reference["table"]
+
+
+#: the RunRecord fields one shard's row must agree on however it ran
+SHARD_ROW_FIELDS = ("kind", "label", "fingerprint", "detectors",
+                    "consistency", "status", "violations", "events",
+                    "master_seed", "payload")
+
+
+def _shard_row(db_path):
+    with open_db(db_path) as db:
+        record = db.latest()
+    return {name: getattr(record, name) for name in SHARD_ROW_FIELDS}
+
+
+def test_shard_run_row_matches_campaign_shard_row(tmp_path):
+    """``shard run`` on shard 1 of a 2-shard plan records the same
+    campaign row as ``campaign --shard 1/2`` -- extra detectors
+    included."""
+    direct = str(tmp_path / "direct.db")
+    code, _stdout = _run_cli(["campaign", *MATRIX, "--detectors",
+                              "lockset", "--shard", "1/2", "--quiet",
+                              "--db", direct])
+    assert code in (0, 1)
+
+    plan_dir = str(tmp_path / "plan")
+    code, _stdout = _run_cli(["shard", "plan", *MATRIX, "--detectors",
+                              "lockset", "--shards", "2",
+                              "--out", plan_dir])
+    assert code == 0
+    sharded = str(tmp_path / "sharded.db")
+    code, _stdout = _run_cli(["shard", "run",
+                              os.path.join(plan_dir, shard_dir_name(0)),
+                              "--db", sharded])
+    assert code in (0, 1)
+
+    assert _shard_row(sharded) == _shard_row(direct)
+    assert _shard_row(direct)["detectors"] == ("lockset",)
+    assert _shard_row(direct)["label"] == "campaign[shard 1/2]"

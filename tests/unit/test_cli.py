@@ -59,6 +59,23 @@ class TestRun:
             main(["run", "nonexistent"])
 
 
+class TestRunDetectorFlags:
+    """``--detector X`` is ``--detectors X`` (``all`` is SVD+FRD): one
+    engine run, one output format, one exit code."""
+
+    @pytest.mark.parametrize("choice", [
+        "svd", "precise", "frd", "lockset", "atomizer", "offline",
+        "stale", "lock-order", "hybrid", "all"])
+    def test_detector_means_detectors(self, choice, capsys):
+        names = "svd,frd" if choice == "all" else choice
+        code = main(["run", "mysql-tablelock", "--detector", choice])
+        out = capsys.readouterr().out
+        assert main(["run", "mysql-tablelock",
+                     "--detectors", names]) == code
+        assert capsys.readouterr().out == out
+        assert "stream pass(es)" in out
+
+
 class TestExec:
     def test_exec_with_threads(self, msp_file, capsys):
         assert main(["exec", msp_file, "--thread", "t:5",
@@ -195,6 +212,20 @@ class TestObsFlags:
                      "--seeds", "1", "--obs"]) == 0
         out = capsys.readouterr().out
         assert "fuzz.programs" in out
+
+
+class TestServeUsage:
+    @pytest.mark.parametrize("flags", [["--port-file", "port"],
+                                       ["--executions", "-1"]],
+                             ids=["port-file-without-http-port",
+                                  "negative-executions"])
+    def test_usage_error_leaves_nothing_behind(self, flags, tmp_path,
+                                               capsys):
+        flags = [str(tmp_path / f) if f == "port" else f for f in flags]
+        hb = tmp_path / "hb"
+        assert main(["serve", *flags, "--heartbeat-out", str(hb)]) == 2
+        assert not hb.exists()
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestFuzzCmd:
