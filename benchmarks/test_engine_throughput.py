@@ -14,11 +14,15 @@ bench pins the claim two ways --
   ``bench_gate.FLOORS["BENCH_engine.json"]`` -- a hard assert,
   re-checked in CI via ``repro bench --check``;
 
-and records two more numbers: the re-feed arm's throughput (both arms
-deliver columnar windows, so their ratio now measures pass count only)
-and a small end-to-end ``repro campaign`` matrix (live machines, SVD
+and records more numbers: the re-feed arm's throughput (both arms
+deliver columnar windows, so their ratio now measures pass count only),
+a small end-to-end ``repro campaign`` matrix (live machines, SVD
 polling) as events/sec, so the artefact tracks whole-pipeline
-throughput, not just replay dispatch.
+throughput, not just replay dispatch, and the ``trace_io`` arm: the
+recording saved and strictly loaded back (events/sec each way, bytes
+per event), with ``trace_io.load_events_per_sec`` gated by its own
+floor and the loaded trace required to replay to the in-memory
+trace's verdicts.
 
 Measurement: the two arms are interleaved best-of-``ROUNDS`` so both
 sample the same CPU state; wall-clock noise can only make a fast build
@@ -36,6 +40,8 @@ from repro.harness.bench_gate import FLOORS
 from repro.harness.campaign import (CampaignSpec, ConfigSpec,
                                     WorkloadSpec, run_campaign)
 from repro.machine.scheduler import RandomScheduler
+from repro.resultsdb import violation_report_fingerprints
+from repro.trace import Trace
 from repro.workloads import apache_log
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
@@ -44,6 +50,7 @@ DETECTORS = ["svd", "frd", "lockset", "atomizer"]
 #: interleaved timing rounds per arm (best round wins)
 ROUNDS = 5
 EVENTS_FLOOR = FLOORS["BENCH_engine.json"]["single_pass.events_per_sec"]
+LOAD_FLOOR = FLOORS["BENCH_engine.json"]["trace_io.load_events_per_sec"]
 
 
 @pytest.fixture(scope="module")
@@ -84,6 +91,31 @@ def _best_seconds(program, trace):
     return best["single"], best["refeed"]
 
 
+def _verdicts(results):
+    """Per-detector dynamic counts plus the static fingerprints."""
+    reports = {name: results[0].report(name) for name in DETECTORS}
+    return ({name: report.dynamic_count
+             for name, report in reports.items()},
+            violation_report_fingerprints(reports))
+
+
+def _trace_io(program, trace, path):
+    """Best-of-ROUNDS save and strict load of the recording; returns
+    (save seconds, load seconds, file bytes, the loaded trace)."""
+    best_save = best_load = None
+    for _ in range(ROUNDS):
+        started = time.perf_counter()
+        trace.save(path)
+        saved = time.perf_counter()
+        loaded = Trace.load(path, program)
+        elapsed = time.perf_counter() - saved
+        if best_save is None or saved - started < best_save:
+            best_save = saved - started
+        if best_load is None or elapsed < best_load:
+            best_load = elapsed
+    return best_save, best_load, os.path.getsize(path), loaded
+
+
 def _campaign_throughput():
     """Time a small end-to-end campaign (live machines + batched
     delivery); returns (events, seconds, events/sec, ok runs)."""
@@ -100,7 +132,7 @@ def _campaign_throughput():
     return events, seconds, len([r for r in report.results if r.ok])
 
 
-def test_single_pass_throughput(recorded, emit_result):
+def test_single_pass_throughput(recorded, emit_result, tmp_path):
     program, trace = recorded
     # warm every per-run cache (decoded program, trace columns/windows)
     # so the first timed round does not pay one-time costs
@@ -122,6 +154,10 @@ def test_single_pass_throughput(recorded, emit_result):
 
     single_s, refeed_s = _best_seconds(program, trace)
     events = len(trace)
+    save_s, load_s, trace_bytes, loaded = _trace_io(
+        program, trace, str(tmp_path / "recording.trace"))
+    # the loaded trace replays to the in-memory trace's verdicts
+    assert _verdicts(_single_pass(program, loaded)) == _verdicts(single)
     campaign_events, campaign_s, campaign_ok = _campaign_throughput()
     record = {
         "events": events,
@@ -143,6 +179,11 @@ def test_single_pass_throughput(recorded, emit_result):
             "seconds": round(campaign_s, 6),
             "events_per_sec": round(campaign_events / campaign_s),
         },
+        "trace_io": {
+            "save_events_per_sec": round(events / save_s),
+            "load_events_per_sec": round(events / load_s),
+            "bytes_per_event": round(trace_bytes / events, 3),
+        },
         "speedup": round(refeed_s / single_s, 3),
         "events_floor": EVENTS_FLOOR,
     }
@@ -151,5 +192,6 @@ def test_single_pass_throughput(recorded, emit_result):
         os.path.join(OUT_DIR, "BENCH_engine.json"), record)
 
     emit_result("engine_throughput", json.dumps(record, indent=2))
-    # the pinned claim (also enforced on the artefact in CI)
+    # the pinned claims (also enforced on the artefact in CI)
     assert record["single_pass"]["events_per_sec"] >= EVENTS_FLOOR, record
+    assert record["trace_io"]["load_events_per_sec"] >= LOAD_FLOOR, record

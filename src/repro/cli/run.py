@@ -257,9 +257,10 @@ def _exec(inv) -> Outcome:
                           observers=observers)
         status = machine.run(max_steps=args.max_steps)
     if recorder is not None:
-        recorder.trace().save(args.save_trace)
+        trace = recorder.trace()
+        trace.save(args.save_trace)
         print(f"trace saved to {args.save_trace} "
-              f"({len(recorder.events)} events)")
+              f"({len(trace)} events)")
     print(f"status: {status} after {machine.steps} steps")
     if machine.output:
         print("output:", " ".join(str(v) for _t, v in machine.output))

@@ -11,7 +11,7 @@ Four hook families, matching the plan's site families:
 * :class:`RaisingCallback` -- wraps one analysis's per-event callback
   so it raises :class:`InjectedFault` at the Nth event dispatched to
   it; the engine's quarantine path must absorb it.
-* :func:`corrupt_trace_file` -- scribbles over / truncates records of
+* :func:`corrupt_trace_file` -- flips bytes in / truncates records of
   a *saved* trace file, to exercise the salvaging reader.
 * :func:`apply_worker_fault` -- run inside a pool worker child just
   before a task: crash (``os._exit``), hang (sleep past any timeout),
@@ -96,13 +96,13 @@ class StreamInjector:
 def apply_to_trace(trace, plan: FaultPlan):
     """The :class:`StreamInjector` transformation over a recorded trace:
     returns a new :class:`repro.trace.Trace` (same program / thread
-    count) with the plan's ``stream.*`` faults applied once."""
+    count) with the plan's ``stream.*`` faults applied once to the
+    rows of its batch."""
     from repro.trace.trace import Trace
 
-    rows = StreamInjector(plan).transform(
-        list(EventBatch.from_events(trace.events).rows()))
-    events = EventBatch.from_rows(rows).to_events(trace.program)
-    return Trace(trace.program, events, trace.n_threads)
+    rows = StreamInjector(plan).transform(list(trace.batch.rows()))
+    return Trace.from_batch(trace.program, EventBatch.from_rows(rows),
+                            trace.n_threads)
 
 
 class RaisingCallback:
@@ -137,43 +137,42 @@ class RaisingCallback:
 
 
 def corrupt_trace_file(path: str, plan: FaultPlan) -> int:
-    """Apply the plan's ``trace.*`` faults to a saved trace file in
+    """Apply the plan's ``trace.*`` faults to a saved v3 trace file in
     place; returns how many faults were applied.
 
-    Line-oriented, matching both trace format versions: line 0 is the
-    header, record ``i`` is line ``i + 1``.  ``trace.corrupt``
-    overwrites a seeded span of the record's payload bytes (which in v2
-    breaks the record checksum); ``trace.truncate`` cuts the file in
-    the middle of the record, leaving a torn final line.
+    Record ``i`` is addressed by its byte span, found from the header's
+    ``n_events`` and the chunk layout (a position past the last record
+    is inert).  ``trace.corrupt`` flips a seeded span of 1-4 bytes
+    inside the record, a burst its crc32 always detects;
+    ``trace.truncate`` cuts the file in the middle of the record,
+    leaving it torn.  A file that is not v3 raises ValueError.
     """
+    from repro.trace.trace import RECORD, read_v3_header, record_offset
+
     faults = plan.trace_faults()
     if not faults:
         return 0
     with open(path, "rb") as fh:
-        lines = fh.readlines()
+        data = bytearray(fh.read())
+    start, n_events = read_v3_header(path, data)
     applied = 0
-    truncated = False
     for fault in sorted(faults, key=lambda f: f.at):
-        lineno = fault.at + 1  # skip the header line
-        if truncated or lineno >= len(lines):
+        begin = start + record_offset(fault.at)
+        if fault.at >= n_events or begin + RECORD.size > len(data):
             continue
-        line = lines[lineno]
         if fault.site == "trace.truncate":
-            lines[lineno] = line[:max(1, len(line) // 2)]
-            del lines[lineno + 1:]
-            truncated = True
-        else:  # trace.corrupt
-            rng = plan.corruption_rng(fault.at)
-            body = bytearray(line.rstrip(b"\n"))
-            if body:
-                start = rng.randrange(0, len(body))
-                span = min(len(body) - start, 1 + rng.randrange(0, 8))
-                for i in range(start, start + span):
-                    body[i] = 0x21 + rng.randrange(0, 64)  # printable junk
-            lines[lineno] = bytes(body) + b"\n"
+            del data[begin + RECORD.size // 2:]
+            applied += 1
+            break
+        # trace.corrupt
+        rng = plan.corruption_rng(fault.at)
+        at = begin + rng.randrange(0, RECORD.size)
+        span = min(begin + RECORD.size - at, 1 + rng.randrange(0, 4))
+        for i in range(at, at + span):
+            data[i] ^= 1 + rng.randrange(0, 255)
         applied += 1
     with open(path, "wb") as fh:
-        fh.writelines(lines)
+        fh.write(data)
     return applied
 
 

@@ -32,6 +32,8 @@ from typing import Dict, List, Mapping, Tuple
 #: single-pass engine replay with the full 4-detector set (recorded
 #: 770k-924k ev/s).  ``campaign.events_per_sec`` pins
 #: end-to-end ``repro campaign`` throughput (recorded ~200k ev/s).
+#: ``trace_io.load_events_per_sec`` is a strict load of the bench's
+#: saved recording (v3 format; recorded 2.17M-2.57M ev/s).
 #:
 #: ``BENCH_interp.json``: pre-decoded interpreter steps/sec with no
 #: observers and with full online SVD attached (recorded
@@ -57,6 +59,7 @@ FLOORS: Dict[str, Dict[str, float]] = {
     "BENCH_engine.json": {
         "single_pass.events_per_sec": 380_000,
         "campaign.events_per_sec": 100_000,
+        "trace_io.load_events_per_sec": 1_000_000,
     },
     "BENCH_interp.json": {
         "modes.predecoded/0-observers.steps_per_sec": 700_000,

@@ -20,8 +20,8 @@ consumers.  They are produced in two places:
 
 * the live machine's emission buffer (:meth:`repro.machine.Machine`
   staging rows and flushing via :meth:`Machine.flush_events`);
-* trace replay (:meth:`repro.trace.Trace.batches` slices the trace's
-  cached columnar form into windows).
+* trace replay (:meth:`repro.trace.Trace.batches` slices the one
+  batch a trace holds into windows).
 
 and consumed through the ``consume_batch(batch)`` observer/analysis
 protocol (see ``docs/architecture.md``).  A consumer may receive kinds
@@ -53,9 +53,9 @@ class EventBatch:
     Rows are in global sequence order; ``count`` is the window length.
     ``to_events`` materializes (and caches) the equivalent
     :class:`Event` objects -- the engine's synthesized calls for
-    per-event analyses and the trace recorder share that one
-    materialization, so Events are constructed at most once per window
-    no matter how many consumers need them.
+    per-event analyses share that one materialization, so Events are
+    constructed at most once per window no matter how many consumers
+    need them.
     """
 
     __slots__ = ("count", "kinds", "seqs", "tids", "pcs", "locs", "addrs",
@@ -121,9 +121,9 @@ class EventBatch:
     def to_events(self, program) -> List[Event]:
         """Materialize the window as :class:`Event` objects (cached).
 
-        Events re-link to ``program.code[pc]`` exactly as
-        :meth:`repro.trace.Trace.load` does, so a synthesized event is
-        field-for-field identical to a recorded one.
+        Events re-link to ``program.code[pc]``, so a synthesized event
+        is field-for-field identical to one of a recorded
+        :class:`repro.trace.Trace`'s ``events``.
         """
         events = self._events
         if events is None:

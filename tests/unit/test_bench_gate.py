@@ -21,6 +21,7 @@ def artefact(tmp_path):
         "single_pass": {"seconds": 0.07, "events_per_sec": 1_100_000},
         "per_detector_refeed": {"seconds": 0.11},
         "campaign": {"events_per_sec": 200_000},
+        "trace_io": {"load_events_per_sec": 2_500_000},
     }))
     return str(path)
 
@@ -200,7 +201,8 @@ class TestBenchCommandEdgeCases:
         path.write_text(json.dumps({
             "speedup": 0.5,
             "single_pass": {"events_per_sec": 1},
-            "campaign": {"events_per_sec": 1}}))
+            "campaign": {"events_per_sec": 1},
+            "trace_io": {"load_events_per_sec": 1}}))
         assert main(["bench", "--check", str(path)]) == 1
         assert main(["bench", "--check", str(path), "--no-builtin",
                      "--floor", "speedup=0.4"]) == 0

@@ -23,6 +23,7 @@ def artefact(tmp_path):
         "speedup": 1.61,
         "single_pass": {"events_per_sec": 1_100_000},
         "campaign": {"events_per_sec": 200_000},
+        "trace_io": {"load_events_per_sec": 2_500_000},
     }))
     return str(path)
 

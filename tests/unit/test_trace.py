@@ -47,6 +47,23 @@ class TestRecording:
         assert trace.events[0].seq == 10
         assert trace.events[-1].seq == 49
 
+    def test_trace_hands_the_recording_over(self):
+        """trace() keeps no copy: a second call returns what was
+        recorded after the first, and the two together are the run."""
+        prog = compile_source(COUNTER_RACE)
+        recorder = TraceRecorder(prog, 2)
+        m = Machine(prog, [("worker", (10,)), ("worker", (10,))],
+                    scheduler=RandomScheduler(seed=2, switch_prob=0.4),
+                    observers=[recorder])
+        m.run(max_steps=30)
+        first = recorder.trace()
+        m.run()
+        second = recorder.trace()
+        assert len(first) == 30
+        assert [e.seq for e in first] + [e.seq for e in second] == \
+            list(range(m.seq))
+        assert len(recorder.trace()) == 0
+
     def test_accesses_by_address_grouping(self, race_trace):
         _m, trace = race_trace
         by_addr = trace.accesses_by_address()
