@@ -21,6 +21,7 @@ from repro.faults import (CRASH_EXIT_CODE, Fault, FaultPlan, InjectedFault,
 from repro.harness.pool import parallel_map
 from repro.lang import compile_source
 from repro.machine import MachineStatus
+from repro.machine.batch import DEFAULT_BATCH_SIZE
 from repro.machine.machine import Machine
 from repro.machine.scheduler import RandomScheduler
 from tests.conftest import COUNTER_LOCKED, COUNTER_RACE
@@ -171,13 +172,16 @@ class TestEngineQuarantine:
     def program(self):
         return compile_source(COUNTER_RACE)
 
-    def _run(self, program, plan, detectors=("svd", "frd")):
+    def _run(self, program, plan, detectors=("svd", "frd"),
+             window=DEFAULT_BATCH_SIZE):
         with faults.install(plan):
-            engine = DetectorEngine(program, list(detectors))
+            engine = DetectorEngine(program, list(detectors),
+                                    batch_size=window)
             machine = Machine(program,
                               [("worker", (15,)), ("worker", (15,))],
                               scheduler=RandomScheduler(seed=2,
-                                                        switch_prob=0.5))
+                                                        switch_prob=0.5),
+                              batch_size=window)
             return engine.run_machine(machine)
 
     def test_injected_raise_is_quarantined(self, program):
@@ -195,6 +199,26 @@ class TestEngineQuarantine:
             baseline.report("svd"))
         counters = handle.registry.snapshot()["counters"]
         assert counters["engine.analysis_quarantined"] == 1
+
+    @pytest.mark.parametrize("window", [1, 7, DEFAULT_BATCH_SIZE])
+    @pytest.mark.parametrize("at", [0, 100])
+    def test_raise_in_full_stream_analysis_is_window_invariant(
+            self, program, at, window):
+        """svd reads every kind (``interests`` None), so its fault
+        ordinal is the phase's event index; the failure record is the
+        same at every window size, and frd is untouched."""
+        baseline = self._run(program, None)
+        plan = FaultPlan([Fault("analysis.raise", at=at, target="svd")])
+        result = self._run(program, plan, window=window)
+        failure = result.failures["svd"]
+        assert (failure.phase, failure.stage, failure.event_index,
+                failure.seq, failure.error) == (
+            0, "event", at, at,
+            f"InjectedFault: injected analysis.raise in 'svd' at "
+            f"dispatched event {at} (seq {at})")
+        assert list(result.failures) == ["svd"]
+        assert _keys(result.report("frd")) == _keys(
+            baseline.report("frd"))
 
     def test_quarantined_analysis_report_still_materializes(self, program):
         plan = FaultPlan([Fault("analysis.raise", at=0, target="frd")])
