@@ -2,7 +2,8 @@
 
 The ``repro.faults`` contract mirrors ``repro.obs``: hardened code asks
 the switchboard for a plan **once per run** (engine construction wraps
-callbacks only when an analysis fault targets them; ``run_trace``
+an analysis's ``consume_batch`` only when an analysis fault targets
+it; ``run_trace``
 consults ``faults.active()`` once before the stream loop; the machine
 binds its stream injector at construction), so with no plan armed every
 per-event code path is byte-identical to the unhardened engine.

@@ -163,6 +163,13 @@ class Invocation:
         finally:
             for signum, handler in previous.items():
                 signal.signal(signum, handler)
+            # A KeyboardInterrupt that leaves exec()/eval() of source
+            # text (a frozen dataclass builds its methods that way, so
+            # a signal during a lazy import raises it there) marks the
+            # interpreter as interrupted even when it is caught, and
+            # `python -m` then exits by SIGINT instead of with our code.
+            # Evaluating any source text clears that mark.
+            eval("0")
 
     def _body(self) -> Outcome:
         try:

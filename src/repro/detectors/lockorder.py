@@ -22,8 +22,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.report import Violation, ViolationReport
 from repro.engine.analysis import Analysis
-from repro.machine.events import (EV_ACQUIRE, EV_RELEASE, EV_WAIT, Event,
-                                  SYNC_KINDS)
+from repro.machine.events import EV_ACQUIRE, EV_RELEASE, EV_WAIT, SYNC_KINDS
 from repro.trace.trace import Trace
 
 
@@ -57,20 +56,34 @@ class LockOrderDetector(Analysis):
         self._seen = set()
         self._edges = []
 
-    def on_event(self, event: Event) -> None:
-        if event.kind == EV_ACQUIRE:
-            stack = self._held.setdefault(event.tid, [])
-            for lock in stack:
-                if (lock, event.addr) not in self._seen:
-                    self._seen.add((lock, event.addr))
-                    self._edges.append(LockOrderEdge(
-                        held=lock, acquired=event.addr, tid=event.tid,
-                        seq=event.seq, loc=event.loc))
-            stack.append(event.addr)
-        elif event.kind in (EV_RELEASE, EV_WAIT):
-            stack = self._held.get(event.tid)
-            if stack and event.addr in stack:
-                stack.remove(event.addr)
+    def consume_batch(self, batch) -> None:
+        """Walk one window's lock traffic: an Acquire records an edge
+        from every lock its thread holds, a Release or Wait drops the
+        lock; every other kind skips."""
+        held_by = self._held
+        seen = self._seen
+        edges = self._edges
+        acquire = EV_ACQUIRE
+        release = EV_RELEASE
+        wait = EV_WAIT
+        for kind, seq, tid, loc, addr in zip(
+                batch.kinds, batch.seqs, batch.tids, batch.locs,
+                batch.addrs):
+            if kind == acquire:
+                stack = held_by.get(tid)
+                if stack is None:
+                    stack = held_by[tid] = []
+                for lock in stack:
+                    if (lock, addr) not in seen:
+                        seen.add((lock, addr))
+                        edges.append(LockOrderEdge(
+                            held=lock, acquired=addr, tid=tid, seq=seq,
+                            loc=loc))
+                stack.append(addr)
+            elif kind == release or kind == wait:
+                stack = held_by.get(tid)
+                if stack and addr in stack:
+                    stack.remove(addr)
 
     def finish(self, end_seq: int) -> None:
         edges = self._edges
@@ -108,10 +121,8 @@ class LockOrderDetector(Analysis):
     def edges(self, trace: Trace) -> List[LockOrderEdge]:
         """The deduplicated lock-order edges of ``trace``."""
         self.start(trace.n_threads)
-        on_event = self.on_event
-        for event in trace:
-            if event.kind in SYNC_KINDS:
-                on_event(event)
+        for batch in trace.batches():
+            self.consume_batch(batch)
         return list(self._edges)
 
     def run(self, trace: Trace) -> ViolationReport:

@@ -15,7 +15,8 @@ Knowing which locations are shared requires a whole-trace pass; under
 the :class:`repro.engine.DetectorEngine` that pass is the shared
 ``shared-index`` precomputation (declared via ``requires``), computed
 once no matter how many analyses consume it.  Standalone
-:meth:`StaleValueDetector.run` runs the private pass as before.
+:meth:`StaleValueDetector.run` runs the same
+:class:`~repro.engine.index.SharedAddressIndex` over the trace first.
 
 This detector flags exactly the critical-section-value-escapes idiom
 that produces SVD's strict-2PL-gap false positives (the ticket pattern),
@@ -28,10 +29,11 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.core.report import Violation, ViolationReport
 from repro.engine.analysis import Analysis
+from repro.engine.index import SharedAddressIndex
 from repro.isa.instructions import Reg
 from repro.machine.events import (
     EV_ACQUIRE, EV_ALU, EV_BRANCH, EV_LOAD, EV_RELEASE, EV_STORE,
-    EV_WAIT, Event, MEMORY_KINDS, SYNC_KINDS,
+    EV_WAIT, MEMORY_KINDS, SYNC_KINDS,
 )
 from repro.trace.trace import Trace
 
@@ -75,13 +77,6 @@ class StaleValueDetector(Analysis):
         if self._index is not None:
             self._shared = set(self._index.shared_addresses)
 
-    def _shared_addresses(self, trace: Trace) -> Set[int]:
-        accessors: Dict[int, Set[int]] = {}
-        for event in trace:
-            if event.kind in (EV_LOAD, EV_STORE):
-                accessors.setdefault(event.addr, set()).add(event.tid)
-        return {a for a, tids in accessors.items() if len(tids) > 1}
-
     def _state_of(self, tid: int) -> _ThreadState:
         state = self._threads.get(tid)
         if state is None:
@@ -89,17 +84,17 @@ class StaleValueDetector(Analysis):
             self._threads[tid] = state
         return state
 
-    def _check_use(self, event: Event, state: _ThreadState,
+    def _check_use(self, seq: int, tid: int, loc: int,
+                   state: _ThreadState,
                    taint: Optional[FrozenSet[Tag]]) -> None:
         if not taint:
             return
         for lock, _session in [tag for tag in taint
                                if tag in state.closed]:
             self.report.add_once(
-                Violation(detector="stale-value", seq=event.seq,
-                          tid=event.tid, loc=event.loc, address=lock,
-                          kind="stale-value-use"),
-                key=(event.loc, lock))
+                Violation(detector="stale-value", seq=seq, tid=tid,
+                          loc=loc, address=lock, kind="stale-value-use"),
+                key=(loc, lock))
 
     @staticmethod
     def _reg_taint(state: _ThreadState, operand) -> FrozenSet[Tag]:
@@ -107,54 +102,69 @@ class StaleValueDetector(Analysis):
             return state.reg_taint.get(operand.index, frozenset())
         return frozenset()
 
-    def on_event(self, event: Event) -> None:
-        state = self._state_of(event.tid)
-        instr = event.instr
-        if event.kind == EV_ACQUIRE:
-            session = state.sessions.get(event.addr, 0) + 1
-            state.sessions[event.addr] = session
-            state.held[event.addr] = session
-        elif event.kind in (EV_RELEASE, EV_WAIT):
-            # waiting releases the lock: values it protected go stale
-            session = state.held.pop(event.addr, None)
-            if session is not None:
-                state.closed.add((event.addr, session))
-        elif event.kind == EV_LOAD:
-            self._check_use(event, state, self._reg_taint(state, instr.addr))
-            if event.addr in self._shared:
-                # a shared location yields a *fresh* observation,
-                # tagged with the sessions currently protecting it;
-                # taint never flows through shared memory (that path
-                # crosses threads and is the race detectors' job)
-                taint = frozenset(
-                    (lock, session)
-                    for lock, session in state.held.items())
-            else:
-                # thread-local slots carry whatever CS value was
-                # parked in them
-                taint = state.mem_taint.get(event.addr, frozenset())
-            state.reg_taint[instr.dest.index] = taint
-        elif event.kind == EV_ALU:
-            taint = (self._reg_taint(state, instr.src1)
-                     | self._reg_taint(state, instr.src2))
-            state.reg_taint[instr.dest.index] = taint
-        elif event.kind == EV_STORE:
-            data_taint = self._reg_taint(state, instr.src)
-            self._check_use(event, state, data_taint)
-            self._check_use(event, state, self._reg_taint(state, instr.addr))
-            if event.addr not in self._shared:
-                state.mem_taint[event.addr] = data_taint
-        elif event.kind == EV_BRANCH:
-            self._check_use(event, state, self._reg_taint(state, instr.cond))
+    def consume_batch(self, batch) -> None:
+        """Walk one window through the per-thread taint state, reading
+        each event's operands from ``program.code[pc]``; kinds outside
+        :attr:`interests` skip.  A Wait releases its lock like a
+        Release."""
+        code = self.program.code
+        interests = self.interests
+        shared = self._shared
+        check = self._check_use
+        reg_taint = self._reg_taint
+        for kind, seq, tid, pc, loc, addr in zip(
+                batch.kinds, batch.seqs, batch.tids, batch.pcs,
+                batch.locs, batch.addrs):
+            if kind not in interests:
+                continue
+            state = self._state_of(tid)
+            if kind == EV_ACQUIRE:
+                session = state.sessions.get(addr, 0) + 1
+                state.sessions[addr] = session
+                state.held[addr] = session
+            elif kind == EV_RELEASE or kind == EV_WAIT:
+                # waiting releases the lock: values it protected go stale
+                session = state.held.pop(addr, None)
+                if session is not None:
+                    state.closed.add((addr, session))
+            elif kind == EV_LOAD:
+                instr = code[pc]
+                check(seq, tid, loc, state, reg_taint(state, instr.addr))
+                if addr in shared:
+                    # a shared location yields a *fresh* observation,
+                    # tagged with the sessions currently protecting it;
+                    # taint never flows through shared memory (that path
+                    # crosses threads and is the race detectors' job)
+                    taint = frozenset(
+                        (lock, session)
+                        for lock, session in state.held.items())
+                else:
+                    # thread-local slots carry whatever CS value was
+                    # parked in them
+                    taint = state.mem_taint.get(addr, frozenset())
+                state.reg_taint[instr.dest.index] = taint
+            elif kind == EV_ALU:
+                instr = code[pc]
+                state.reg_taint[instr.dest.index] = (
+                    reg_taint(state, instr.src1)
+                    | reg_taint(state, instr.src2))
+            elif kind == EV_STORE:
+                instr = code[pc]
+                data_taint = reg_taint(state, instr.src)
+                check(seq, tid, loc, state, data_taint)
+                check(seq, tid, loc, state, reg_taint(state, instr.addr))
+                if addr not in shared:
+                    state.mem_taint[addr] = data_taint
+            elif kind == EV_BRANCH:
+                check(seq, tid, loc, state,
+                      reg_taint(state, code[pc].cond))
 
     def run(self, trace: Trace) -> ViolationReport:
-        """Standalone two-pass run: private shared pass, then check."""
+        """Standalone two-pass run: the shared-address index, then the
+        check."""
         self.start(trace.n_threads)
-        self._shared = self._shared_addresses(trace)
-        interests = self.interests
-        on_event = self.on_event
-        for event in trace:
-            if event.kind in interests:
-                on_event(event)
+        self._shared = SharedAddressIndex(self.program).run(trace)
+        for batch in trace.batches():
+            self.consume_batch(batch)
         self.finish(trace.end_seq)
         return self.report

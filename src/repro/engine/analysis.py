@@ -21,14 +21,15 @@ can multiplex a single normalized event stream to all of them at once:
 
 Delivery: an analysis implements ``consume_batch(batch)`` and receives
 the phase's stream as mixed-kind
-:class:`~repro.machine.batch.EventBatch` windows in global order.  An
-analysis that is genuinely per-event leaves ``consume_batch`` None and
-implements ``on_event`` instead; the engine then synthesizes one
-``on_event`` call per event of an interesting kind, in seq order.
+:class:`~repro.machine.batch.EventBatch` windows in global order -- the
+only way events reach an analysis.  One that reads no events (pure
+composition, batch algorithms) leaves ``consume_batch`` None and
+declares empty ``interests``; the engine refuses an analysis that
+subscribes to events without a ``consume_batch``.
 
 Lifecycle, driven by the engine: ``resolve()`` (dependency injection,
-before any streaming) -> ``start()`` -> windows (or synthesized events)
-of the analysis's scheduled phase -> ``finish()``.  Dependencies are
+before any streaming) -> ``start()`` -> windows of the analysis's
+scheduled phase -> ``finish()``.  Dependencies are
 only *read* in ``start``/``finish``, never in ``resolve`` -- at resolve
 time the dependency has not run yet.
 """
@@ -36,8 +37,6 @@ time the dependency has not run yet.
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, FrozenSet, Optional, Tuple
-
-from repro.machine.events import Event
 
 if TYPE_CHECKING:  # import-cycle guard: core re-exports engine adapters
     from repro.core.report import ViolationReport
@@ -58,11 +57,10 @@ class Analysis:
     wants_trace: bool = False
     #: a callable taking one :class:`repro.machine.batch.EventBatch`
     #: (mixed-kind, global order -- the consumer dispatches on
-    #: ``batch.kinds`` and ignores alien kinds).  None means per-event
-    #: only: the dispatcher then synthesizes :meth:`on_event` calls from
-    #: each batch, preserving exact seq order.  Declaring it is a
-    #: contract that the result does not depend on where window
-    #: boundaries fall.
+    #: ``batch.kinds`` and ignores alien kinds).  None means the
+    #: analysis reads no events (its ``interests`` must be empty).
+    #: Declaring it is a contract that the result does not depend on
+    #: where window boundaries fall.
     consume_batch = None
 
     def resolve(self, name: str, dependency: "Analysis") -> None:
@@ -70,10 +68,6 @@ class Analysis:
 
     def start(self, n_threads: int) -> None:
         """Reset per-run state; called before this analysis's pass."""
-
-    def on_event(self, event: Event) -> None:
-        """Receive one event (per-event analyses only)."""
-        raise NotImplementedError
 
     def set_trace(self, trace) -> None:
         """Receive the full trace (only when :attr:`wants_trace`)."""

@@ -21,12 +21,11 @@ hybrid detector) is *skipped* entirely: its analyses are finished
 without another pass over the stream.
 
 Dispatch.  Events arrive as :class:`~repro.machine.batch.EventBatch`
-windows -- the machine's flushes, or slices of a recorded trace.  An
-analysis that declares ``consume_batch`` receives each window in one
-call (skipped when the window holds none of its :attr:`interests`);
-for analyses that are per-event only the engine synthesizes
-``on_event`` calls in seq order through an event-kind dispatch table,
-so an event reaches exactly the analyses that want its kind.
+windows -- the machine's flushes, or slices of a recorded trace -- and
+each analysis receives each window in one ``consume_batch`` call,
+skipped when the window holds none of its :attr:`interests`.  That is
+the only way an analysis receives events; one that subscribes to events
+without a ``consume_batch`` is refused before the run starts.
 
 :class:`EngineStats` records, per phase, how many events were read from
 the source and how many callbacks were dispatched -- the event-count
@@ -53,7 +52,8 @@ import repro.faults.runtime as faults
 import repro.obs as obs
 from repro.core.report import AnalysisFailure, ViolationReport
 from repro.engine.analysis import Analysis
-from repro.faults.inject import RaisingCallback
+from repro.faults.inject import RaisingConsumer
+from repro.faults.plan import InjectedFault
 from repro.machine.batch import DEFAULT_BATCH_SIZE, EventBatch
 from repro.machine.events import KIND_NAMES, MachineObserver, N_KINDS
 from repro.trace.trace import Trace, TraceRecorder
@@ -75,50 +75,36 @@ def _failure(analysis_name: str, phase: int, stage: str, event_index: int,
 class _PhaseDispatcher(MachineObserver):
     """Routes one phase's event windows to its analyses.
 
-    Analyses declaring ``consume_batch`` receive each shared window in
-    one call.  The rest -- analyses that really are per-event, and any
-    analysis targeted by an ``analysis.raise`` fault -- get synthesized
-    per-event calls through a per-kind callback table, in exact seq
-    order; a targeted batch analysis is fed one-row windows there, so
-    its fault ordinal and failure index count single events.
+    Each analysis receives every shared window in one ``consume_batch``
+    call, skipped when the window holds none of its :attr:`interests`.
+    An analysis targeted by an ``analysis.raise`` fault receives its
+    windows through a :class:`~repro.faults.inject.RaisingConsumer`,
+    which cuts the window at the faulting event.
 
-    An analysis that raises is *quarantined*: it is dropped from the
-    tables, an :class:`AnalysisFailure` is recorded in
-    :attr:`failures`, and delivery continues to the remaining analyses.
-    The hot loop pays nothing for this until an exception actually
-    occurs (one ``try`` around each dispatch; CPython 3.11 zero-cost
-    exceptions).
+    An analysis that raises is *quarantined*: it is unhooked, an
+    :class:`AnalysisFailure` is recorded in :attr:`failures`, and
+    delivery continues to the remaining analyses.  The hot loop pays
+    nothing for this until an exception actually occurs (one ``try``
+    around each dispatch; CPython 3.11 zero-cost exceptions).
     """
 
     def __init__(self, analyses: Sequence[Analysis],
-                 phase_index: int = 0, program=None) -> None:
-        synth_handlers: List[List] = [[] for _ in range(N_KINDS)]
-        batch_handlers: List[Tuple] = []
-        owners: Dict[int, Analysis] = {}
+                 phase_index: int = 0) -> None:
+        handlers: List[Tuple] = []
         plan = faults.active()
         raise_faults = ({f.target: f for f in plan.analysis_faults()}
                         if plan is not None else {})
         for analysis in analyses:
             consume = analysis.consume_batch
+            if consume is None:
+                continue  # reads no events
+            kinds = (None if analysis.interests is None
+                     else tuple(analysis.interests))
             fault = raise_faults.get(analysis.name)
-            if fault is None and consume is not None:
-                batch_handlers.append(
-                    (analysis, consume,
-                     None if analysis.interests is None
-                     else tuple(analysis.interests)))
-                continue
-            callback = (analysis.on_event if consume is None
-                        else _one_row_windows(consume))
             if fault is not None:
-                callback = RaisingCallback(fault, callback)
-            owners[id(callback)] = analysis
-            kinds = (range(N_KINDS) if analysis.interests is None
-                     else analysis.interests)
-            for kind in kinds:
-                synth_handlers[kind].append(callback)
-        self._synth_handlers = synth_handlers
-        self._batch_handlers = batch_handlers
-        self._program = program
+                consume = RaisingConsumer(fault, consume, kinds)
+            handlers.append((analysis, consume, kinds))
+        self._handlers = handlers
         self.batches_consumed = 0
         #: kind mask folded from the phase's analyses: the machine does
         #: not stage kinds outside it.  Fixed at attach time --
@@ -131,36 +117,18 @@ class _PhaseDispatcher(MachineObserver):
         self.phase_index = phase_index
         self.events_read = 0
         self.events_dispatched = 0
-        self._owners = owners
         #: analysis name -> AnalysisFailure, in quarantine order
         self.failures: Dict[str, AnalysisFailure] = {}
 
     def consume_batch(self, batch: EventBatch) -> None:
-        """Deliver one window: synthesized per-event calls first (exact
-        seq order -- quarantine indices and fault ordinals count single
-        events), then one call per batch analysis with the shared
+        """Deliver one window: one call per analysis with the shared
         mixed-kind window."""
         self.batches_consumed += 1
         count = batch.count
-        if any(self._synth_handlers):
-            for event in batch.to_events(self._program):
-                self.events_read += 1
-                # re-read the table each event: a mid-batch quarantine
-                # replaces it, and the dead callback must not see the
-                # rest of the window
-                callbacks = self._synth_handlers[event.kind]
-                if callbacks:
-                    self.events_dispatched += len(callbacks)
-                    try:
-                        for callback in callbacks:
-                            callback(event)
-                    except Exception as exc:
-                        self._absorb(callbacks, callback, event, exc)
-        else:
-            self.events_read += count
-        base = self.events_read - count
+        base = self.events_read
+        self.events_read = base + count
         kind_counts = None
-        for analysis, consume, kinds in self._batch_handlers:
+        for analysis, consume, kinds in self._handlers:
             if kinds is None:
                 fed = count
             else:
@@ -176,59 +144,34 @@ class _PhaseDispatcher(MachineObserver):
             try:
                 consume(batch)
             except Exception as exc:
-                self._quarantine_batch(analysis, base, batch, exc)
+                self._quarantine(analysis, base, batch, exc)
 
-    def _absorb(self, callbacks: List, failed, event,
-                exc: Exception) -> None:
-        """Quarantine the raising callback, then finish delivering the
-        event to the callbacks after it (equally guarded)."""
-        index = next(i for i, cb in enumerate(callbacks) if cb is failed)
-        self._quarantine(failed, event, exc)
-        for callback in callbacks[index + 1:]:
-            try:
-                callback(event)
-            except Exception as later_exc:
-                self._quarantine(callback, event, later_exc)
-
-    def _quarantine(self, callback, event, exc: Exception) -> None:
-        analysis = self._owners[id(callback)]
-        self.failures[analysis.name] = _failure(
-            analysis.name, self.phase_index, "event",
-            self.events_read - 1, event.seq, exc)
-        obs.add("engine.analysis_quarantined")
-        # rebuild the table as NEW list objects so any in-flight
-        # iteration over the old lists is unaffected
-        dead = id(callback)
-        self._synth_handlers = [[cb for cb in lst if id(cb) != dead]
-                                for lst in self._synth_handlers]
-
-    def _quarantine_batch(self, analysis: Analysis, base: int,
-                          batch: EventBatch, exc: Exception) -> None:
-        """Quarantine a batch analysis: the failure is anchored at the
-        first event of the window it was consuming (somewhere past that
+    def _quarantine(self, analysis: Analysis, base: int,
+                    batch: EventBatch, exc: Exception) -> None:
+        """Unhook a raising analysis.  An injected fault is anchored at
+        the event it fired at; any other failure at the first event of
+        the window the analysis was consuming (somewhere past that
         point is where it actually raised)."""
-        seq = batch.seqs[0] if batch.count else -1
-        self.failures[analysis.name] = _failure(
-            analysis.name, self.phase_index, "batch", base, seq, exc)
+        row = exc.row if isinstance(exc, InjectedFault) else None
+        if row is not None:
+            failure = _failure(analysis.name, self.phase_index, "event",
+                               base + row, batch.seqs[row], exc)
+        else:
+            failure = _failure(analysis.name, self.phase_index, "batch",
+                               base, batch.seqs[0] if batch.count else -1,
+                               exc)
+        self.failures[analysis.name] = failure
         obs.add("engine.analysis_quarantined")
-        self._batch_handlers = [entry for entry in self._batch_handlers
-                                if entry[0] is not analysis]
-
-
-def _one_row_windows(consume):
-    """Per-event adapter for a batch analysis: each event becomes a
-    one-row window."""
-    def feed(event) -> None:
-        consume(EventBatch.from_events((event,)))
-    return feed
+        self._handlers = [entry for entry in self._handlers
+                          if entry[0] is not analysis]
 
 
 class _CountingPhaseDispatcher(_PhaseDispatcher):
     """Per-event-kind accounting, selected only while metrics are on."""
 
     def __init__(self, analyses: Sequence[Analysis],
-                 phase_index: int = 0, program=None) -> None:
-        super().__init__(analyses, phase_index, program)
+                 phase_index: int = 0) -> None:
+        super().__init__(analyses, phase_index)
         self.kind_counts = [0] * N_KINDS
 
     def consume_batch(self, batch: EventBatch) -> None:
@@ -240,11 +183,10 @@ class _CountingPhaseDispatcher(_PhaseDispatcher):
 
 
 def _make_dispatcher(analyses: Sequence[Analysis],
-                     phase_index: int = 0,
-                     program=None) -> _PhaseDispatcher:
+                     phase_index: int = 0) -> _PhaseDispatcher:
     if obs.metrics_enabled():
-        return _CountingPhaseDispatcher(analyses, phase_index, program)
-    return _PhaseDispatcher(analyses, phase_index, program)
+        return _CountingPhaseDispatcher(analyses, phase_index)
+    return _PhaseDispatcher(analyses, phase_index)
 
 
 @dataclass
@@ -419,51 +361,25 @@ class DetectorEngine:
 
     def run_machine(self, machine, max_steps: Optional[int] = None,
                     keep_trace: bool = False) -> EngineResult:
-        """Drive a live machine with phase 0 attached online.
+        """Drive a live machine with phase 0 attached online:
+        :meth:`drive_machine` finished in one call.
 
         The machine must not have started yet.  A recording is made only
         when needed: later phases exist, some analysis wants the whole
         trace, or the caller asks to ``keep_trace``.
         """
-        phases = self._begin()
-        stats = EngineStats()
-        n_threads = len(machine.threads)
-        needs_trace = (keep_trace or len(phases) > 1
-                       or any(a.wants_trace
-                              for a in self._analyses.values()))
-        recorder = None
-        if needs_trace:
-            recorder = TraceRecorder(self.program, n_threads)
-            machine.add_observer(recorder)
-
-        started = self._start_phase(phases[0], 0, n_threads)
-        dispatcher = _make_dispatcher(started, 0, self.program)
-        if dispatcher.any_subscribers:
-            machine.add_observer(dispatcher)
-        with obs.span("engine.phase", phase=0,
-                      analyses="+".join(a.name for a in phases[0])):
-            with obs.span("machine.run"):
-                status = machine.run(max_steps=max_steps)
-            end_seq = machine.seq
-            trace = recorder.trace() if recorder is not None else None
-            self._finish_phase(started, dispatcher, stats, 0, end_seq,
-                               trace)
-
-        for index, analyses in enumerate(phases[1:], start=1):
-            assert trace is not None
-            self._run_phase(analyses, trace, stats, index, end_seq,
-                            n_threads)
-        return self._result(stats, end_seq, trace, status)
+        return self.drive_machine(machine, max_steps=max_steps,
+                                  keep_trace=keep_trace).finish()
 
     def drive_machine(self, machine, max_steps: Optional[int] = None,
                       keep_trace: bool = False) -> "MachineDrive":
-        """The incremental form of :meth:`run_machine`: attach phase 0
-        and return a :class:`MachineDrive` the caller steps in chunks.
+        """Attach phase 0 and return a :class:`MachineDrive` the caller
+        advances in chunks, then finishes.
 
         Cooperative long-lived hosts (:mod:`repro.serve`) use this to
         interleave many executions in one event loop and to kill a
-        stuck one between chunks; ``drive.finish()`` produces the same
-        :class:`EngineResult` ``run_machine`` would have."""
+        stuck one between chunks; :meth:`run_machine` is the same drive
+        finished at once."""
         return MachineDrive(self, machine, max_steps=max_steps,
                             keep_trace=keep_trace)
 
@@ -492,6 +408,12 @@ class DetectorEngine:
         self._used = True
         if not self._analyses:
             raise EngineError("no analyses registered")
+        for analysis in self._analyses.values():
+            if analysis.consume_batch is None and (
+                    analysis.interests is None or analysis.interests):
+                raise EngineError(
+                    f"analysis {analysis.name!r} subscribes to events "
+                    f"but has no consume_batch")
         return self._phases()
 
     def _start_phase(self, analyses: List[Analysis], index: int,
@@ -517,7 +439,7 @@ class DetectorEngine:
         with obs.span("engine.phase", phase=index,
                       analyses="+".join(a.name for a in analyses)):
             started = self._start_phase(analyses, index, n_threads)
-            dispatcher = _make_dispatcher(started, index, self.program)
+            dispatcher = _make_dispatcher(started, index)
             if dispatcher.any_subscribers:
                 consume = dispatcher.consume_batch
                 for batch in trace.batches(self._batch_size):
@@ -619,19 +541,19 @@ class DetectorEngine:
 class MachineDrive:
     """One engine execution advanced in caller-controlled chunks.
 
-    Built by :meth:`DetectorEngine.drive_machine`; the constructor does
-    everything ``run_machine`` does up to the run loop (phase-0 start,
-    recorder, dispatcher attach), :meth:`advance` retires up to
-    ``chunk`` machine steps, and :meth:`finish` finalizes phases and
-    produces the :class:`EngineResult`.  :meth:`abort` finalizes a
-    half-run execution truthfully (status ``"aborted:<reason>"``,
-    later phases skipped) -- what a watchdog kill reports instead of
-    pretending the run completed.
+    Built by :meth:`DetectorEngine.drive_machine`; the constructor
+    attaches phase 0 (analysis start, recorder, dispatcher),
+    :meth:`advance` retires up to ``chunk`` machine steps on the
+    machine's run loop, and :meth:`finish` runs whatever is left,
+    finalizes the phases and produces the :class:`EngineResult`.
+    :meth:`abort` finalizes a half-run execution truthfully (status
+    ``"aborted:<reason>"``, later phases skipped) -- what a watchdog
+    kill reports instead of pretending the run completed.
 
-    The equivalence contract: ``advance`` until it returns False, then
-    ``finish()``, is observationally identical to one
-    ``run_machine(machine, max_steps=...)`` call -- same reports, same
-    stats, same status (the unit suite asserts this differentially).
+    ``run_machine`` is ``drive_machine(...).finish()``, so any sequence
+    of ``advance`` calls followed by ``finish()`` gives the result of
+    one ``run_machine(machine, max_steps=...)`` call -- same reports,
+    same stats, same status, same spans.
     """
 
     def __init__(self, engine: DetectorEngine, machine,
@@ -652,67 +574,56 @@ class MachineDrive:
             machine.add_observer(self._recorder)
         self._started = engine._start_phase(self._phases[0], 0,
                                             self._n_threads)
-        self._dispatcher = _make_dispatcher(self._started, 0,
-                                            engine.program)
+        self._dispatcher = _make_dispatcher(self._started, 0)
         if self._dispatcher.any_subscribers:
             machine.add_observer(self._dispatcher)
         self._done = False
-
-    @property
-    def steps(self) -> int:
-        return self.machine.steps
-
-    @property
-    def events(self) -> int:
-        return self.machine.seq
 
     def advance(self, chunk: int = 1024) -> bool:
         """Retire up to ``chunk`` steps; returns True while the machine
         still has work (False once stopped or at the step limit)."""
         machine = self.machine
-        step = machine.step
+        stop = machine.steps + chunk
         limit = self._max_steps
-        if limit is None:
-            for _ in range(chunk):
-                if not step():
-                    return False
-            return True
-        remaining = limit - machine.steps
-        if remaining <= 0:
+        if limit is not None and stop >= limit:
+            machine.advance(limit)
             return False
-        for _ in range(min(chunk, remaining)):
-            if not step():
-                return False
-        return machine.steps < limit
-
-    def _finalize(self, status: str, run_later_phases: bool) -> EngineResult:
-        if self._done:
-            raise EngineError("a MachineDrive finalizes once")
-        self._done = True
-        engine = self._engine
-        machine = self.machine
-        end_seq = machine.seq
-        trace = self._recorder.trace() if self._recorder is not None else None
-        engine._finish_phase(self._started, self._dispatcher, self._stats,
-                             0, end_seq, trace)
-        if run_later_phases:
-            for index, analyses in enumerate(self._phases[1:], start=1):
-                assert trace is not None
-                engine._run_phase(analyses, trace, self._stats, index,
-                                  end_seq, self._n_threads)
-        return engine._result(self._stats, end_seq, trace, status)
+        return machine.advance(stop)
 
     def finish(self) -> EngineResult:
-        """Finalize a run :meth:`advance` drove to completion.  A
-        machine still runnable here hit the step limit; ``machine.run``
-        stamps ``step_limit`` and fires the finish notifications, the
-        same finalization an uninterrupted ``run_machine`` performs."""
-        status = self.machine.run(max_steps=self._max_steps)
-        return self._finalize(status, run_later_phases=True)
+        """Run the machine to its end and finalize.  ``machine.run``
+        stamps ``step_limit`` on a machine still runnable at the limit
+        and fires the finish notifications."""
+        return self._finalize()
 
     def abort(self, reason: str = "killed") -> EngineResult:
         """Finalize a half-run execution: flush staged events, finish
         phase-0 analyses over what they actually saw, skip later
         phases, and report status ``aborted:<reason>``."""
-        self.machine.flush_events()
-        return self._finalize(f"aborted:{reason}", run_later_phases=False)
+        return self._finalize(reason)
+
+    def _finalize(self, abort_reason: Optional[str] = None) -> EngineResult:
+        if self._done:
+            raise EngineError("a MachineDrive finalizes once")
+        self._done = True
+        engine = self._engine
+        machine = self.machine
+        with obs.span("engine.phase", phase=0,
+                      analyses="+".join(a.name for a in self._phases[0])):
+            if abort_reason is None:
+                with obs.span("machine.run"):
+                    status = machine.run(max_steps=self._max_steps)
+            else:
+                machine.flush_events()
+                status = f"aborted:{abort_reason}"
+            end_seq = machine.seq
+            trace = (self._recorder.trace() if self._recorder is not None
+                     else None)
+            engine._finish_phase(self._started, self._dispatcher,
+                                 self._stats, 0, end_seq, trace)
+        if abort_reason is None:
+            for index, analyses in enumerate(self._phases[1:], start=1):
+                assert trace is not None
+                engine._run_phase(analyses, trace, self._stats, index,
+                                  end_seq, self._n_threads)
+        return engine._result(self._stats, end_seq, trace, status)

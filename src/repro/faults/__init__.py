@@ -17,13 +17,13 @@ Usage::
 from repro.faults.plan import (ALL_SITES, SERVE_SITES, Fault, FaultPlan,
                                InjectedFault)
 from repro.faults.runtime import active, enabled, install
-from repro.faults.inject import (CRASH_EXIT_CODE, RaisingCallback,
+from repro.faults.inject import (CRASH_EXIT_CODE, RaisingConsumer,
                                  StreamInjector, apply_to_trace,
                                  apply_worker_fault, corrupt_trace_file)
 
 __all__ = [
     "ALL_SITES", "SERVE_SITES", "Fault", "FaultPlan", "InjectedFault",
     "active", "enabled", "install",
-    "CRASH_EXIT_CODE", "RaisingCallback", "StreamInjector",
+    "CRASH_EXIT_CODE", "RaisingConsumer", "StreamInjector",
     "apply_to_trace", "apply_worker_fault", "corrupt_trace_file",
 ]

@@ -8,9 +8,10 @@ Four hook families, matching the plan's site families:
   over an already recorded :class:`repro.trace.Trace` (applied once, so
   a multi-phase engine replay sees one consistently faulted stream, not
   a re-roll per phase).
-* :class:`RaisingCallback` -- wraps one analysis's per-event callback
+* :class:`RaisingConsumer` -- wraps one analysis's ``consume_batch``
   so it raises :class:`InjectedFault` at the Nth event dispatched to
-  it; the engine's quarantine path must absorb it.
+  it, cutting that event's window there; the engine's quarantine path
+  must absorb it.
 * :func:`corrupt_trace_file` -- flips bytes in / truncates records of
   a *saved* trace file, to exercise the salvaging reader.
 * :func:`apply_worker_fault` -- run inside a pool worker child just
@@ -25,13 +26,12 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.faults.plan import Fault, FaultPlan, InjectedFault
 from repro.machine.batch import EventBatch
-from repro.machine.events import Event
 
-__all__ = ["StreamInjector", "RaisingCallback", "apply_to_trace",
+__all__ = ["StreamInjector", "RaisingConsumer", "apply_to_trace",
            "corrupt_trace_file", "apply_worker_fault", "InjectedFault"]
 
 
@@ -105,32 +105,45 @@ def apply_to_trace(trace, plan: FaultPlan):
                             trace.n_threads)
 
 
-class RaisingCallback:
-    """Wraps one analysis's per-event callback so the ``at``-th event
+class RaisingConsumer:
+    """Wraps one analysis's ``consume_batch`` so the ``at``-th event
     dispatched to it raises :class:`InjectedFault`.
 
-    One instance wraps one analysis; the engine installs the same
-    instance in every event-kind dispatch list the analysis subscribes
-    to, so the counter spans kinds exactly like the analysis's own view
-    of the stream.
+    Events are counted in the analysis's own view of the stream: the
+    kinds it reads (``kinds``, None for all of them).  The window that
+    holds the faulting event is cut there -- the analysis consumes the
+    rows before it, then the fault is raised with ``row`` set to the
+    event's index in the window, so the engine anchors the failure at
+    that event.
     """
 
-    __slots__ = ("fault", "inner", "dispatched")
+    __slots__ = ("fault", "inner", "kinds", "dispatched")
 
-    def __init__(self, fault: Fault,
-                 inner: Callable[[Event], None]) -> None:
+    def __init__(self, fault: Fault, inner: Callable[[EventBatch], None],
+                 kinds: Optional[Tuple[int, ...]]) -> None:
         self.fault = fault
         self.inner = inner
+        self.kinds = kinds
         self.dispatched = 0
 
-    def __call__(self, event: Event) -> None:
-        n = self.dispatched
-        self.dispatched = n + 1
-        if n == self.fault.at:
-            raise InjectedFault(
-                f"injected analysis.raise in {self.fault.target!r} at "
-                f"dispatched event {n} (seq {event.seq})")
-        self.inner(event)
+    def __call__(self, batch: EventBatch) -> None:
+        kinds = self.kinds
+        at = self.fault.at
+        for row, kind in enumerate(batch.kinds):
+            if kinds is None or kind in kinds:
+                if self.dispatched == at:
+                    break
+                self.dispatched += 1
+        else:
+            self.inner(batch)
+            return
+        if row:
+            self.inner(batch.slice(0, row))
+        fault = InjectedFault(
+            f"injected analysis.raise in {self.fault.target!r} at "
+            f"dispatched event {at} (seq {batch.seqs[row]})")
+        fault.row = row
+        raise fault
 
 
 # -- trace-file damage -------------------------------------------------------------

@@ -47,7 +47,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 #: every site the injector understands, by family
 STREAM_SITES = ("stream.drop", "stream.dup", "stream.corrupt",
@@ -63,7 +63,11 @@ ALL_SITES = frozenset(STREAM_SITES + TRACE_SITES + ANALYSIS_SITES
 
 
 class InjectedFault(RuntimeError):
-    """The exception raised by ``analysis.raise`` faults."""
+    """The exception raised by ``analysis.raise`` faults.  ``row`` is
+    the index, in the window being delivered, of the event the fault
+    fired at (None when it names no event)."""
+
+    row: Optional[int] = None
 
 
 @dataclass(frozen=True)

@@ -24,10 +24,11 @@ consumers.  They are produced in two places:
   batch a trace holds into windows).
 
 and consumed through the ``consume_batch(batch)`` observer/analysis
-protocol (see ``docs/architecture.md``).  A consumer may receive kinds
-outside its declared interests -- batches are shared between consumers,
-so every consumer dispatches on the ``kinds`` column and ignores kinds
-it does not handle.
+protocol, the only way an observer or analysis receives events (see
+``docs/architecture.md``).  A consumer may receive kinds outside its
+declared interests -- batches are shared between consumers, so every
+consumer dispatches on the ``kinds`` column and ignores kinds it does
+not handle.
 """
 
 from __future__ import annotations
@@ -51,22 +52,17 @@ class EventBatch:
     """One flushed window of the event stream, in columnar form.
 
     Rows are in global sequence order; ``count`` is the window length.
-    ``to_events`` materializes (and caches) the equivalent
-    :class:`Event` objects -- the engine's synthesized calls for
-    per-event analyses share that one materialization, so Events are
-    constructed at most once per window no matter how many consumers
-    need them.
+    ``to_events`` builds the equivalent :class:`Event` objects, for the
+    offline layer (see :attr:`repro.trace.Trace.events`).
     """
 
     __slots__ = ("count", "kinds", "seqs", "tids", "pcs", "locs", "addrs",
-                 "values", "takens", "targets", "_events", "_kind_counts")
+                 "values", "takens", "targets", "_kind_counts")
 
-    def __init__(self, columns: Sequence[Sequence],
-                 events: Optional[List[Event]] = None) -> None:
+    def __init__(self, columns: Sequence[Sequence]) -> None:
         (self.kinds, self.seqs, self.tids, self.pcs, self.locs,
          self.addrs, self.values, self.takens, self.targets) = columns
         self.count = len(self.kinds)
-        self._events = events
         self._kind_counts: Optional[List[int]] = None
 
     @classmethod
@@ -78,15 +74,14 @@ class EventBatch:
 
     @classmethod
     def from_events(cls, events: Sequence[Event]) -> "EventBatch":
-        """Columnarize existing Event objects, keeping them as the
-        already-materialized ``to_events`` answer."""
+        """Columnarize existing Event objects."""
         events = list(events)
         if not events:
-            return cls(_EMPTY_COLUMNS, events=events)
+            return cls(_EMPTY_COLUMNS)
         columns = tuple(zip(*((e.kind, e.seq, e.tid, e.pc, e.loc, e.addr,
                                e.value, e.taken, e.target)
                               for e in events)))
-        return cls(columns, events=events)
+        return cls(columns)
 
     def columns(self) -> Tuple[Sequence, ...]:
         """The nine columns, in :data:`ROW_FIELDS` order."""
@@ -99,14 +94,10 @@ class EventBatch:
 
     def slice(self, start: int, stop: int) -> "EventBatch":
         """Rows ``[start, stop)`` as a window of their own (itself when
-        the slice covers the whole window); an already-materialized
-        ``to_events`` answer is sliced along."""
+        the slice covers the whole window)."""
         if start <= 0 and stop >= self.count:
             return self
-        events = self._events
-        return EventBatch(tuple(col[start:stop] for col in self.columns()),
-                          events=(events[start:stop] if events is not None
-                                  else None))
+        return EventBatch(tuple(col[start:stop] for col in self.columns()))
 
     def kind_counts(self) -> List[int]:
         """Events per kind in this window (cached)."""
@@ -119,25 +110,16 @@ class EventBatch:
         return counts
 
     def to_events(self, program) -> List[Event]:
-        """Materialize the window as :class:`Event` objects (cached).
-
-        Events re-link to ``program.code[pc]``, so a synthesized event
-        is field-for-field identical to one of a recorded
-        :class:`repro.trace.Trace`'s ``events``.
-        """
-        events = self._events
-        if events is None:
-            code = program.code
-            ncode = len(code)
-            events = [
-                Event(kind, seq, tid, pc,
+        """The window as :class:`Event` objects, each re-linked to its
+        instruction ``program.code[pc]``."""
+        code = program.code
+        ncode = len(code)
+        return [Event(kind, seq, tid, pc,
                       code[pc] if 0 <= pc < ncode else None,
                       addr, value, taken, target)
                 for kind, seq, tid, pc, addr, value, taken, target
                 in zip(self.kinds, self.seqs, self.tids, self.pcs,
                        self.addrs, self.values, self.takens, self.targets)]
-            self._events = events
-        return events
 
     def __len__(self) -> int:
         return self.count

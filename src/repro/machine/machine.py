@@ -24,6 +24,12 @@ fully observed run.  An observer that must stay in step with execution
 (the BER controller reads its detector after every step) builds the
 machine with ``batch_size=1``: every emission then flushes at once.
 
+One run loop drives every live run: :meth:`Machine.advance` runs the
+hot loop up to a step bound without finalizing, and :meth:`Machine.run`
+is that loop plus the step-limit stamp and finish notifications.  Of
+the library's hosts only the BER controller, which reads its detector
+after every instruction, calls :meth:`Machine.step`.
+
 The runnable set is maintained incrementally at the status-transition
 sites (block, wake, sleep, halt, crash) instead of being rebuilt by an
 O(threads) scan per step; the legacy engine keeps its original scan as
@@ -614,35 +620,39 @@ class Machine:
 
     def run(self, max_steps: Optional[int] = None) -> str:
         """Run until all threads finish, deadlock, or the step limit."""
-        if self.predecoded:
-            return self._run_predecoded(max_steps)
-        step = self.step
-        while self.status == MachineStatus.RUNNING:
-            if max_steps is not None and self.steps >= max_steps:
-                self.status = MachineStatus.STEP_LIMIT
-                self._notify_finish()
-                break
-            step()
+        if self.advance(max_steps):
+            # still runnable: the limit stopped it, not the program
+            self.status = MachineStatus.STEP_LIMIT
+            self._notify_finish()
         return self.status
 
-    def _run_predecoded(self, max_steps: Optional[int]) -> str:
-        """The pre-decoded hot loop: everything loop-invariant hoisted
-        into locals.  All referenced containers (runnable set, schedule
-        list, step table) are mutated in place machine-wide, so the
-        hoisted bindings stay live across blocking, crashes and
-        checkpoint/restore within the run."""
+    def advance(self, stop: Optional[int] = None) -> bool:
+        """Run until :attr:`steps` reaches ``stop`` (None: no bound) or
+        the machine stops; returns True while it can still run.
+
+        Unlike :meth:`run` this does not finalize a run that reached
+        ``stop``, so a host can drive one run in chunks and end it with
+        :meth:`run`.  The pre-decoded hot loop hoists everything
+        loop-invariant into locals.  All referenced containers
+        (runnable set, schedule list, step table) are mutated in place
+        machine-wide, so the hoisted bindings stay live across
+        blocking, crashes and checkpoint/restore within the run."""
+        running = MachineStatus.RUNNING
+        if not self.predecoded:
+            step = self.step
+            while self.status == running and (stop is None
+                                              or self.steps < stop):
+                step()
+            return self.status == running
         table = self._table
         threads = self.threads
         runnable = self._runnable_ids
         pick = self.scheduler.pick
         record = self.record_schedule
         schedule = self.recorded_schedule
-        running = MachineStatus.RUNNING
         drain_base = self._drain_base
         while self.status == running:
-            if max_steps is not None and self.steps >= max_steps:
-                self.status = MachineStatus.STEP_LIMIT
-                self._notify_finish()
+            if stop is not None and self.steps >= stop:
                 break
             if not runnable:
                 self._finish_run()
@@ -660,7 +670,7 @@ class Machine:
                 self.steps += 1
             if record:
                 schedule.append(tid)
-        return self.status
+        return self.status == running
 
     def _notify_finish(self) -> None:
         if self._finished_notified:

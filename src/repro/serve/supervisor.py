@@ -4,7 +4,7 @@
 workload generators, streams each through a per-execution
 :class:`~repro.engine.DetectorEngine`, and **stays up no matter what**:
 
-* executions are asyncio tasks that drive ``machine.step()`` in
+* executions are asyncio tasks that run the machine's run loop in
   chunks, yielding to the loop between chunks -- the supervisor, the
   watchdog and the status endpoint stay responsive while GIL-bound
   detection work proceeds;
@@ -420,8 +420,8 @@ class Supervisor:
                 if drive is not None:
                     more = drive.advance(cfg.chunk)
                 else:
-                    more = self._advance_bare(machine, cfg.chunk,
-                                              cfg.max_steps)
+                    stop = min(machine.steps + cfg.chunk, cfg.max_steps)
+                    more = machine.advance(stop) and stop < cfg.max_steps
                 info.progress(machine.steps, machine.seq)
                 self.ladder.note_events(machine.seq - last_events)
                 last_events = machine.seq
@@ -460,20 +460,6 @@ class Supervisor:
                     self._record_violations(info, "svd-sampled", count)
         info.progress(machine.steps, machine.seq)
         return True
-
-    @staticmethod
-    def _advance_bare(machine, chunk: int,
-                      max_steps: Optional[int]) -> bool:
-        step = machine.step
-        if max_steps is not None:
-            remaining = max_steps - machine.steps
-            if remaining <= 0:
-                return False
-            chunk = min(chunk, remaining)
-        for _ in range(chunk):
-            if not step():
-                return False
-        return max_steps is None or machine.steps < max_steps
 
     # -- accounting --------------------------------------------------------
 

@@ -157,8 +157,10 @@ class Trace:
                  n_threads: int) -> None:
         self.program = program
         self.n_threads = n_threads
+        events = list(events)
         #: the recorded stream; replay windows are slices of it
         self.batch = EventBatch.from_events(events)
+        self._events: Optional[List[Event]] = events
 
     @classmethod
     def from_batch(cls, program: Program, batch: EventBatch,
@@ -166,12 +168,15 @@ class Trace:
         """A trace over an already columnar stream (no Event built)."""
         trace = cls(program, (), n_threads)
         trace.batch = batch
+        trace._events = None
         return trace
 
     @property
     def events(self) -> List[Event]:
         """The stream as :class:`Event` objects, built on first use."""
-        return self.batch.to_events(self.program)
+        if self._events is None:
+            self._events = self.batch.to_events(self.program)
+        return self._events
 
     def __len__(self) -> int:
         return self.batch.count
@@ -237,8 +242,7 @@ class Trace:
     def batches(self,
                 batch_size: int = DEFAULT_BATCH_SIZE) -> Iterator[EventBatch]:
         """The trace sliced into :class:`EventBatch` windows, made as
-        the caller walks them; once :attr:`events` is built, each
-        window's ``to_events`` answer is the matching slice of it."""
+        the caller walks them."""
         if batch_size < 1:
             raise ValueError("batch_size must be positive")
         whole = self.batch

@@ -1,7 +1,12 @@
 """CLI tests."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
+import repro
 from repro.cli import main
 
 
@@ -249,3 +254,44 @@ class TestFuzzCmd:
     def test_missing_corpus_dir(self, capsys):
         assert main(["fuzz", "--budget", "0", "--programs", "2",
                      "--corpus", "/does/not/exist"]) == 2
+
+
+#: a command body that catches a KeyboardInterrupt raised inside
+#: ``exec()`` of source text -- where a SIGINT landing during a lazy
+#: import (a frozen dataclass builds its methods with ``exec``) raises
+#: it -- and reports the run interrupted
+SIGINT_PROBE = """
+import argparse
+import sys
+
+from repro.cli.lifecycle import Invocation, Outcome
+
+
+def body(invocation):
+    try:
+        exec("raise KeyboardInterrupt('SIGINT')")
+    except KeyboardInterrupt:
+        pass
+    return Outcome("interrupted")
+
+
+args = argparse.Namespace(command="probe", func=body, db=None)
+sys.exit(Invocation(args).run())
+"""
+
+
+class TestHandledInterruptExitCode:
+    def test_caught_interrupt_from_exec_exits_3(self, tmp_path):
+        """CPython flags a KeyboardInterrupt that leaves ``exec()`` of
+        source text as unhandled even when the program catches it, and
+        ``python -m`` then exits by SIGINT (-2) after a clean shutdown.
+        An interrupted invocation must still exit 3."""
+        (tmp_path / "sigint_probe.py").write_text(SIGINT_PROBE)
+        src = os.path.dirname(os.path.dirname(os.path.abspath(
+            repro.__file__)))
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([src, str(tmp_path)]))
+        proc = subprocess.run([sys.executable, "-m", "sigint_probe"],
+                              cwd=str(tmp_path), env=env,
+                              capture_output=True, timeout=60)
+        assert proc.returncode == 3, proc.stderr.decode()

@@ -5,8 +5,9 @@ lockset, Atomizer) over one recorded trace must perform exactly one pass
 of the event stream per engine-scheduled phase -- verified both through
 :class:`repro.engine.EngineStats` (events *delivered* per phase) and
 through external counters the engine cannot see (trace iteration and
-batch-window requests).  Batch-path analyses must additionally never
-receive a synthesized per-event call.
+batch-window requests).  Windows are the only delivery path: an
+analysis receives each event once, through ``consume_batch``, and one
+that subscribes to events without it is refused.
 """
 
 import pytest
@@ -129,10 +130,9 @@ class TestScheduling:
             assert phase.events_read == result.end_seq
 
     def test_batch_path_analysis_never_sees_per_event_call(self):
-        """An analysis declaring consume_batch must receive the stream
-        exclusively through it -- zero synthesized on_event calls --
-        while a per-event-only analysis in the same phase gets every
-        event synthesized, in exact seq order."""
+        """An analysis receives the stream exclusively through
+        consume_batch -- a per-event method it happens to define is
+        never called -- and every event exactly once."""
 
         class BatchOnlyProbe(Analysis):
             name = "batch-only-probe"
@@ -150,27 +150,34 @@ class TestScheduling:
                 self.batches += 1
                 self.events_delivered += batch.count
 
-        class PerEventProbe(Analysis):
-            name = "per-event-probe"
-            interests = None
-            consume_batch = None  # opts out of the batch path
-
-            def __init__(self):
-                self.seqs = []
-
-            def on_event(self, event):
-                self.seqs.append(event.seq)
-
         program, machine = _race_machine()
         batch_probe = BatchOnlyProbe()
-        event_probe = PerEventProbe()
         result = DetectorEngine(
-            program, ["svd", batch_probe, event_probe]).run_machine(machine)
+            program, ["svd", batch_probe]).run_machine(machine)
         assert batch_probe.per_event_calls == 0
         assert batch_probe.batches >= 1
         assert batch_probe.events_delivered == result.end_seq
-        # the synthesized stream is complete and in seq order
-        assert event_probe.seqs == list(range(result.end_seq))
+
+    @pytest.mark.parametrize("interests", [None, frozenset({EV_LOAD})],
+                             ids=["all-kinds", "loads"])
+    def test_subscriber_without_consume_batch_refused(self, interests):
+        """An analysis that subscribes to events but has no
+        consume_batch fails loudly before the run instead of silently
+        seeing nothing."""
+
+        class NoWindowProbe(Analysis):
+            name = "no-window-probe"
+
+        NoWindowProbe.interests = interests
+        program, machine = _race_machine()
+        with pytest.raises(EngineError, match="no consume_batch"):
+            DetectorEngine(program,
+                           ["svd", NoWindowProbe()]).run_machine(machine)
+        assert machine.steps == 0
+        trace = DetectorEngine(program, ["svd"]).run_machine(
+            _race_machine()[1], keep_trace=True).trace
+        with pytest.raises(EngineError, match="no consume_batch"):
+            DetectorEngine(program, [NoWindowProbe()]).run_trace(trace)
 
     def test_dependencies_instantiated_once(self):
         program, machine = _race_machine()

@@ -7,6 +7,7 @@ lives in ``tests/integration/test_serve_chaos.py``; this file pins the
 component contracts the supervisor composes.
 """
 
+import dataclasses
 import io
 import json
 import urllib.request
@@ -16,7 +17,7 @@ import pytest
 import repro.obs as obs
 from repro.engine import DetectorEngine
 from repro.harness.heartbeat import ServeHeartbeat
-from repro.machine import Machine, RandomScheduler
+from repro.machine import Machine, RandomScheduler, resolve_model
 from repro.serve import (LEVELS, AnalysisBreaker, DegradationLadder,
                          ServeConfig, StatusServer, Supervisor)
 from repro.workloads import WORKLOADS
@@ -115,30 +116,120 @@ class TestAnalysisBreaker:
         assert counters["serve.breaker.opened"] == 1
 
 
-def _fresh_machine(workload, seed=7):
+def _fresh_machine(workload, seed=7, consistency=None):
+    kwargs = {}
+    if consistency is not None:
+        kwargs["memmodel"] = resolve_model(consistency, seed)
     return workload.make_machine(
-        RandomScheduler(seed=seed, switch_prob=0.3))
+        RandomScheduler(seed=seed, switch_prob=0.3), **kwargs)
+
+
+FOUR_DETECTORS = ("svd", "frd", "lockset", "atomizer")
+
+
+def _outcome(result, machine):
+    """Everything a drive must reproduce: status, full violation
+    lists, per-phase stats, failure records and the machine's end
+    state."""
+    return {
+        "status": result.status,
+        "end_seq": result.end_seq,
+        "reports": {name: [dataclasses.asdict(v)
+                           for v in report.violations]
+                    for name, report in result.reports.items()},
+        "phases": [dataclasses.asdict(phase)
+                   for phase in result.stats.phases],
+        "failures": {name: (f.analysis, f.phase, f.stage, f.event_index,
+                            f.seq, f.error)
+                     for name, f in result.failures.items()},
+        "steps": machine.steps,
+        "memory": list(machine.memory),
+        "output": list(machine.output),
+    }
+
+
+def _run_machine(name, detectors, max_steps, consistency=None):
+    workload = WORKLOADS[name]()
+    machine = _fresh_machine(workload, consistency=consistency)
+    result = DetectorEngine(workload.program, list(detectors)).run_machine(
+        machine, max_steps=max_steps)
+    return _outcome(result, machine)
+
+
+def _drive(name, detectors, max_steps, chunk, consistency=None):
+    workload = WORKLOADS[name]()
+    machine = _fresh_machine(workload, consistency=consistency)
+    drive = DetectorEngine(workload.program, list(detectors)).drive_machine(
+        machine, max_steps=max_steps)
+    while drive.advance(chunk):
+        pass
+    return _outcome(drive.finish(), machine)
+
+
+def _span_shape(run):
+    """(name, depth, attrs) of every span ``run`` emits, in completion
+    order."""
+    with obs.session() as handle:
+        run()
+    return [(span.name, span.depth, span.attrs)
+            for span in handle.tracer.spans]
 
 
 class TestMachineDrive:
     """The incremental drive must be indistinguishable from
-    ``run_machine`` -- same seed, same reports, same status."""
+    ``run_machine`` -- same seed, same reports, stats and failures,
+    same machine end state, same spans."""
 
     @pytest.mark.parametrize("name", ["apache", "txn-bank"])
     @pytest.mark.parametrize("chunk", [1, 64, 100000])
     def test_differential_vs_run_machine(self, name, chunk):
-        workload = WORKLOADS[name]()
-        reference = DetectorEngine(workload.program, ["svd"]).run_machine(
-            _fresh_machine(workload), max_steps=3000)
-        drive = DetectorEngine(workload.program, ["svd"]).drive_machine(
-            _fresh_machine(workload), max_steps=3000)
-        while drive.advance(chunk):
-            pass
-        result = drive.finish()
-        assert result.status == reference.status
-        assert result.end_seq == reference.end_seq
-        assert (len(result.reports["svd"].violations)
-                == len(reference.reports["svd"].violations))
+        assert (_drive(name, ["svd"], 3000, chunk)
+                == _run_machine(name, ["svd"], 3000))
+
+    @pytest.mark.parametrize("chunk", [1, 64, 100000])
+    def test_four_detectors_with_replay_phase(self, chunk):
+        """The recorder is attached and atomizer replays the recording
+        in phase 1."""
+        outcome = _drive("apache", FOUR_DETECTORS, 3000, chunk)
+        assert len(outcome["phases"]) == 2
+        assert outcome == _run_machine("apache", FOUR_DETECTORS, 3000)
+
+    @pytest.mark.parametrize("chunk", [1, 64, 100000])
+    def test_tso(self, chunk):
+        assert (_drive("apache", ["svd", "frd"], 3000, chunk,
+                       consistency="tso")
+                == _run_machine("apache", ["svd", "frd"], 3000,
+                                consistency="tso"))
+
+    @pytest.mark.parametrize("chunk", [1, 64, 100000])
+    def test_step_limit_inside_a_chunk(self, chunk):
+        """2,017 = 31 x 64 + 33: the limit cuts a 64-step chunk short."""
+        outcome = _drive("apache", ["svd"], 2017, chunk)
+        assert outcome["status"] == "step_limit"
+        assert outcome["steps"] == 2017
+        assert outcome == _run_machine("apache", ["svd"], 2017)
+
+    def test_spans_match_run_machine(self):
+        """``drive_machine(...).finish()`` emits run_machine's spans:
+        the phase-0 span around ``machine.run``, then the replay
+        phase."""
+        workload = WORKLOADS["apache"]()
+
+        def reference():
+            DetectorEngine(workload.program,
+                           list(FOUR_DETECTORS)).run_machine(
+                _fresh_machine(workload), max_steps=3000)
+
+        def driven():
+            drive = DetectorEngine(
+                workload.program, list(FOUR_DETECTORS)).drive_machine(
+                _fresh_machine(workload), max_steps=3000)
+            drive.advance(500)
+            drive.finish()
+
+        expected = _span_shape(reference)
+        assert ("machine.run", 1, None) in expected
+        assert _span_shape(driven) == expected
 
     def test_finish_without_advance_runs_everything(self):
         workload = WORKLOADS["apache"]()
