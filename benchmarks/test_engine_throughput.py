@@ -15,7 +15,7 @@ bench pins the claim two ways --
   re-checked in CI via ``repro bench --check``;
 
 and records more numbers: the re-feed arm's throughput (both arms
-deliver columnar windows, so their ratio now measures pass count only),
+deliver the same windows, so their ratio now measures pass count only),
 a small end-to-end ``repro campaign`` matrix (live machines, SVD
 polling) as events/sec, so the artefact tracks whole-pipeline
 throughput, not just replay dispatch, and the ``trace_io`` arm: the
@@ -134,7 +134,7 @@ def _campaign_throughput():
 
 def test_single_pass_throughput(recorded, emit_result, tmp_path):
     program, trace = recorded
-    # warm every per-run cache (decoded program, trace columns/windows)
+    # warm every per-run cache (decoded program, trace rows/windows)
     # so the first timed round does not pay one-time costs
     single = _single_pass(program, trace)
     refeed = _per_detector_refeed(program, trace)

@@ -345,7 +345,7 @@ class OnlineSVD(MachineObserver):
             for pc, instr in enumerate(program.code)
             if isinstance(instr, Alu)}
         #: per-pc operand decode for the remaining handler kinds, so the
-        #: hot path (and the columnar batch loop) never touches an
+        #: hot path (and the batch loop) never touches an
         #: instruction object: Load dest register, Store (src reg or
         #: None, addr reg or None), Branch condition register
         self._load_dest: Dict[int, int] = {
@@ -398,8 +398,8 @@ class OnlineSVD(MachineObserver):
 
     def consume_batch(self, batch) -> None:
         """Route one window of the global stream to the per-thread
-        detectors, one tight loop per window with every event field a
-        column read (events are never materialized).
+        detectors, one tight loop per window that unpacks each row
+        tuple in place (events are never materialized).
 
         Every event first pops the thread's reconverged control-stack
         entries.  ALU, LOAD, STORE and BRANCH drive dataflow; WAIT cuts
@@ -407,9 +407,9 @@ class OnlineSVD(MachineObserver):
         JUMP / ACQUIRE / RELEASE / OUTPUT carry no dataflow for SVD (it
         ignores how synchronization is done).
 
-        Two loop-level tricks on top of the scalar handlers: the
-        columns are walked with one ``zip`` instead of per-column
-        subscripts, and the per-thread detector (plus its never-
+        Two loop-level tricks on top of the scalar handlers: each row
+        is unpacked once in the ``for`` target instead of subscripted
+        per field, and the per-thread detector (plus its never-
         reassigned ``ctrl_stack``/``regs`` objects) is re-fetched only
         when the tid actually changes -- scheduler quanta make runs of
         the same thread the common case.  The ALU and LOAD handlers,
@@ -438,9 +438,8 @@ class OnlineSVD(MachineObserver):
         crash = EV_CRASH
         last_tid = -1
         detector = stack = regs = alu_ops = None
-        for kind, seq, tid, pc, loc, addr in zip(
-                batch.kinds, batch.seqs, batch.tids, batch.pcs,
-                batch.locs, batch.addrs):
+        for (kind, seq, tid, pc, loc, addr, _value, _taken,
+             _target) in batch.rows:
             if tid != last_tid:
                 detector = threads_get(tid)
                 if detector is None:

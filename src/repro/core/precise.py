@@ -146,16 +146,14 @@ class PreciseSVD(OnlineSVD):
         """Drive the inherited SVD state through sub-windows that each
         end at a memory access, then extend the conflict graph from the
         CU that access landed in."""
-        kinds = batch.kinds
         start = 0
-        for i in range(batch.count):
-            kind = kinds[i]
+        for i, (kind, seq, tid, _pc, loc, addr, _value, _taken,
+                _target) in enumerate(batch.rows):
             if kind != EV_LOAD and kind != EV_STORE:
                 continue
             OnlineSVD.consume_batch(self, batch.slice(start, i + 1))
             start = i + 1
-            self._on_access(kind == EV_STORE, batch.seqs[i], batch.tids[i],
-                            batch.locs[i], batch.addrs[i])
+            self._on_access(kind == EV_STORE, seq, tid, loc, addr)
         if start < batch.count:
             OnlineSVD.consume_batch(self, batch.slice(start, batch.count))
 

@@ -140,12 +140,6 @@ class FrontierRaceDetector(Analysis):
                 loc=loc, address=addr, kind="data-race",
                 other_loc=prev_loc, other_tid=prev_tid))
 
-    def _snapshot(self, tid: int) -> VectorClock:
-        vc = self._snapshots[tid]
-        if vc is None:
-            vc = self._snapshots[tid] = self._clocks[tid].copy()
-        return vc
-
     def consume_batch(self, batch) -> None:
         """Advance the vector clocks over one shared mixed-kind window
         (kinds outside :attr:`interests` fall through the dispatch
@@ -163,9 +157,8 @@ class FrontierRaceDetector(Analysis):
         acquire = EV_ACQUIRE
         release = EV_RELEASE
         wait = EV_WAIT
-        for kind, seq, tid, loc, addr in zip(
-                batch.kinds, batch.seqs, batch.tids, batch.locs,
-                batch.addrs):
+        for (kind, seq, tid, _pc, loc, addr, _value, _taken,
+             _target) in batch.rows:
             if kind == load:
                 prev = last_write.get(addr)
                 # the prev[0] != tid guard is _race's first early-out,

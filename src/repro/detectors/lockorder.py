@@ -66,9 +66,8 @@ class LockOrderDetector(Analysis):
         acquire = EV_ACQUIRE
         release = EV_RELEASE
         wait = EV_WAIT
-        for kind, seq, tid, loc, addr in zip(
-                batch.kinds, batch.seqs, batch.tids, batch.locs,
-                batch.addrs):
+        for (kind, seq, tid, _pc, loc, addr, _value, _taken,
+             _target) in batch.rows:
             if kind == acquire:
                 stack = held_by.get(tid)
                 if stack is None:

@@ -75,9 +75,8 @@ class LocksetDetector(Analysis):
         # common case, so the held-set lookup moves off the access path
         last_tid = -1
         held: Set[int] = set()
-        for kind, seq, tid, loc, addr in zip(
-                batch.kinds, batch.seqs, batch.tids, batch.locs,
-                batch.addrs):
+        for (kind, seq, tid, _pc, loc, addr, _value, _taken,
+             _target) in batch.rows:
             if tid != last_tid:
                 held = held_by.get(tid)
                 if held is None:

@@ -112,9 +112,8 @@ class StaleValueDetector(Analysis):
         shared = self._shared
         check = self._check_use
         reg_taint = self._reg_taint
-        for kind, seq, tid, pc, loc, addr in zip(
-                batch.kinds, batch.seqs, batch.tids, batch.pcs,
-                batch.locs, batch.addrs):
+        for (kind, seq, tid, pc, loc, addr, _value, _taken,
+             _target) in batch.rows:
             if kind not in interests:
                 continue
             state = self._state_of(tid)

@@ -56,8 +56,8 @@ class Analysis:
     #: the engine calls :meth:`set_trace` before :meth:`finish`
     wants_trace: bool = False
     #: a callable taking one :class:`repro.machine.batch.EventBatch`
-    #: (mixed-kind, global order -- the consumer dispatches on
-    #: ``batch.kinds`` and ignores alien kinds).  None means the
+    #: (mixed-kind, global order -- the consumer dispatches on each
+    #: row's kind and ignores alien kinds).  None means the
     #: analysis reads no events (its ``interests`` must be empty).
     #: Declaring it is a contract that the result does not depend on
     #: where window boundaries fall.

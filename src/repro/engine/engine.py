@@ -155,10 +155,10 @@ class _PhaseDispatcher(MachineObserver):
         row = exc.row if isinstance(exc, InjectedFault) else None
         if row is not None:
             failure = _failure(analysis.name, self.phase_index, "event",
-                               base + row, batch.seqs[row], exc)
+                               base + row, batch.rows[row][1], exc)
         else:
             failure = _failure(analysis.name, self.phase_index, "batch",
-                               base, batch.seqs[0] if batch.count else -1,
+                               base, batch.rows[0][1] if batch.count else -1,
                                exc)
         self.failures[analysis.name] = failure
         obs.add("engine.analysis_quarantined")
@@ -330,32 +330,36 @@ class DetectorEngine:
     def _phases(self) -> List[List[Analysis]]:
         """Topological phase grouping: phase(a) = 1 + max(phase(deps))."""
         order: Dict[str, int] = {}
-
-        def phase_of(analysis: Analysis, visiting: Tuple[str, ...]) -> int:
-            cached = order.get(analysis.name)
-            if cached is not None:
-                return cached
-            if analysis.name in visiting:
-                cycle = " -> ".join(visiting + (analysis.name,))
-                raise EngineError(f"dependency cycle: {cycle}")
-            if not analysis.requires:
-                depth = 0
-            else:
-                depth = 1 + max(
-                    phase_of(self._analyses[dep],
-                             visiting + (analysis.name,))
-                    for dep in analysis.requires)
-            order[analysis.name] = depth
-            return depth
-
         for analysis in self._analyses.values():
-            phase_of(analysis, ())
+            self._phase_of(analysis, (), order)
         phases: List[List[Analysis]] = [[] for _ in
                                         range(max(order.values(),
                                                   default=-1) + 1)]
         for analysis in self._analyses.values():
             phases[order[analysis.name]].append(analysis)
         return phases
+
+    def _phase_of(self, analysis: Analysis, visiting: Tuple[str, ...],
+                  order: Dict[str, int]) -> int:
+        """``analysis``'s phase, memoized in ``order``.  A method, not
+        a nested function: a recursive closure references itself, and
+        that cycle would keep the engine and its analyses alive until
+        the cyclic collector ran."""
+        cached = order.get(analysis.name)
+        if cached is not None:
+            return cached
+        if analysis.name in visiting:
+            cycle = " -> ".join(visiting + (analysis.name,))
+            raise EngineError(f"dependency cycle: {cycle}")
+        if not analysis.requires:
+            depth = 0
+        else:
+            depth = 1 + max(
+                self._phase_of(self._analyses[dep],
+                               visiting + (analysis.name,), order)
+                for dep in analysis.requires)
+        order[analysis.name] = depth
+        return depth
 
     # -- execution --------------------------------------------------------------
 
@@ -581,7 +585,11 @@ class MachineDrive:
 
     def advance(self, chunk: int = 1024) -> bool:
         """Retire up to ``chunk`` steps; returns True while the machine
-        still has work (False once stopped or at the step limit)."""
+        still has work (False once stopped or at the step limit).  A
+        ``chunk`` below 1 raises ValueError: it would retire nothing and
+        still report work left."""
+        if chunk < 1:
+            raise ValueError(f"chunk must be at least 1, got {chunk}")
         machine = self.machine
         stop = machine.steps + chunk
         limit = self._max_steps

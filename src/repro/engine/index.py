@@ -45,7 +45,8 @@ class SharedAddressIndex(Analysis):
         counts = self.access_counts
         load = EV_LOAD
         store = EV_STORE
-        for kind, tid, addr in zip(batch.kinds, batch.tids, batch.addrs):
+        for (kind, _seq, tid, _pc, _loc, addr, _value, _taken,
+             _target) in batch.rows:
             if kind != load and kind != store:
                 continue
             accessors = accessors_by_addr.get(addr)

@@ -100,8 +100,8 @@ def apply_to_trace(trace, plan: FaultPlan):
     rows of its batch."""
     from repro.trace.trace import Trace
 
-    rows = StreamInjector(plan).transform(list(trace.batch.rows()))
-    return Trace.from_batch(trace.program, EventBatch.from_rows(rows),
+    rows = StreamInjector(plan).transform(trace.batch.rows)
+    return Trace.from_batch(trace.program, EventBatch(rows),
                             trace.n_threads)
 
 
@@ -129,8 +129,8 @@ class RaisingConsumer:
     def __call__(self, batch: EventBatch) -> None:
         kinds = self.kinds
         at = self.fault.at
-        for row, kind in enumerate(batch.kinds):
-            if kinds is None or kind in kinds:
+        for row, fields in enumerate(batch.rows):
+            if kinds is None or fields[0] in kinds:
                 if self.dispatched == at:
                     break
                 self.dispatched += 1
@@ -141,7 +141,7 @@ class RaisingConsumer:
             self.inner(batch.slice(0, row))
         fault = InjectedFault(
             f"injected analysis.raise in {self.fault.target!r} at "
-            f"dispatched event {at} (seq {batch.seqs[row]})")
+            f"dispatched event {at} (seq {batch.rows[row][1]})")
         fault.row = row
         raise fault
 

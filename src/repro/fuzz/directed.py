@@ -59,8 +59,8 @@ class ConflictProfiler(MachineObserver):
 
     def consume_batch(self, batch) -> None:
         readers, writers, pcs = self._readers, self._writers, self._pcs
-        for kind, tid, pc, addr in zip(batch.kinds, batch.tids,
-                                       batch.pcs, batch.addrs):
+        for (kind, _seq, tid, pc, _loc, addr, _value, _taken,
+             _target) in batch.rows:
             if kind == EV_STORE:
                 writers[addr].add(tid)
             elif kind != EV_LOAD:

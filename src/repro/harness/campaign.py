@@ -568,13 +568,6 @@ class CampaignReport:
     def failed_count(self) -> int:
         return self.aggregate.failed_count
 
-    def group_results(self) -> "Dict[Tuple[str, str], List[CampaignResult]]":
-        groups: Dict[Tuple[str, str], List[CampaignResult]] = {}
-        for result in sorted(self.results, key=lambda r: r.index):
-            groups.setdefault((result.workload, result.config),
-                              []).append(result)
-        return groups
-
     def table2_rows(self) -> List[Table2Row]:
         """Each (workload, config) cell's metrics, merged exactly the
         way Table 2 aggregates its seeded segments."""

@@ -76,7 +76,7 @@ class SegmentSampler(MachineObserver):
         """Slice the window at segment boundaries and feed each slice to
         its segment's detector; rows outside every segment are skipped
         (fast-forward)."""
-        seqs = batch.seqs
+        seqs = [row[1] for row in batch.rows]
         windows = self.windows
         i, n = 0, batch.count
         while i < n:

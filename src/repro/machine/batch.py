@@ -1,12 +1,12 @@
-"""Columnar event batches: the flat-buffer form of the event stream.
+"""Event batches: the one form of the event stream.
 
-An :class:`EventBatch` is a *mixed-kind* window of consecutive events
-held as parallel columns (``kinds``, ``seqs``, ``tids``, ``pcs``,
-``locs``, ``addrs``, ``values``, ``takens``, ``targets``) instead of a
-list of :class:`~repro.machine.events.Event` objects.  Rows appear in
-global sequence order, so a consumer that walks a batch front to back
-sees the event stream in order -- the ``kinds`` column is the dispatch
-key each consumer switches on.
+An :class:`EventBatch` is a *mixed-kind* window of consecutive events,
+held as a list of row tuples in :data:`ROW_FIELDS` order -- the very
+tuples the machine's step closures stage, so no event is copied or
+transposed on its way to a consumer.  Rows appear in global sequence
+order, so a consumer that walks a batch front to back sees the event
+stream in order; each row's ``kind`` is the dispatch key consumers
+switch on.
 
 Why mixed-kind windows rather than one buffer per kind: measured
 same-kind run lengths in real traces are ~1.2 events, so per-kind
@@ -27,13 +27,13 @@ and consumed through the ``consume_batch(batch)`` observer/analysis
 protocol, the only way an observer or analysis receives events (see
 ``docs/architecture.md``).  A consumer may receive kinds outside its
 declared interests -- batches are shared between consumers, so every
-consumer dispatches on the ``kinds`` column and ignores kinds it does
-not handle.
+consumer dispatches on each row's kind, ignores kinds it does not
+handle, and never mutates the rows.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.machine.events import Event, N_KINDS
 
@@ -45,67 +45,42 @@ DEFAULT_BATCH_SIZE = 1024
 ROW_FIELDS = ("kind", "seq", "tid", "pc", "loc", "addr", "value",
               "taken", "target")
 
-_EMPTY_COLUMNS: Tuple[Tuple, ...] = ((),) * len(ROW_FIELDS)
-
 
 class EventBatch:
-    """One flushed window of the event stream, in columnar form.
+    """One flushed window of the event stream, as row tuples.
 
     Rows are in global sequence order; ``count`` is the window length.
     ``to_events`` builds the equivalent :class:`Event` objects, for the
     offline layer (see :attr:`repro.trace.Trace.events`).
     """
 
-    __slots__ = ("count", "kinds", "seqs", "tids", "pcs", "locs", "addrs",
-                 "values", "takens", "targets", "_kind_counts")
+    __slots__ = ("rows", "count", "_kind_counts")
 
-    def __init__(self, columns: Sequence[Sequence]) -> None:
-        (self.kinds, self.seqs, self.tids, self.pcs, self.locs,
-         self.addrs, self.values, self.takens, self.targets) = columns
-        self.count = len(self.kinds)
+    def __init__(self, rows: List[Tuple]) -> None:
+        self.rows = rows
+        self.count = len(rows)
         self._kind_counts: Optional[List[int]] = None
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Tuple]) -> "EventBatch":
-        """Transpose staged row tuples (the live buffer) into columns."""
-        if not rows:
-            return cls(_EMPTY_COLUMNS)
-        return cls(tuple(zip(*rows)))
-
-    @classmethod
     def from_events(cls, events: Sequence[Event]) -> "EventBatch":
-        """Columnarize existing Event objects."""
-        events = list(events)
-        if not events:
-            return cls(_EMPTY_COLUMNS)
-        columns = tuple(zip(*((e.kind, e.seq, e.tid, e.pc, e.loc, e.addr,
-                               e.value, e.taken, e.target)
-                              for e in events)))
-        return cls(columns)
-
-    def columns(self) -> Tuple[Sequence, ...]:
-        """The nine columns, in :data:`ROW_FIELDS` order."""
-        return (self.kinds, self.seqs, self.tids, self.pcs, self.locs,
-                self.addrs, self.values, self.takens, self.targets)
-
-    def rows(self) -> Iterator[Tuple]:
-        """The window as row tuples, in :data:`ROW_FIELDS` order."""
-        return zip(*self.columns())
+        """The rows of existing Event objects."""
+        return cls([(e.kind, e.seq, e.tid, e.pc, e.loc, e.addr, e.value,
+                     e.taken, e.target) for e in events])
 
     def slice(self, start: int, stop: int) -> "EventBatch":
         """Rows ``[start, stop)`` as a window of their own (itself when
         the slice covers the whole window)."""
         if start <= 0 and stop >= self.count:
             return self
-        return EventBatch(tuple(col[start:stop] for col in self.columns()))
+        return EventBatch(self.rows[start:stop])
 
     def kind_counts(self) -> List[int]:
         """Events per kind in this window (cached)."""
         counts = self._kind_counts
         if counts is None:
             counts = [0] * N_KINDS
-            for kind in self.kinds:
-                counts[kind] += 1
+            for row in self.rows:
+                counts[row[0]] += 1
             self._kind_counts = counts
         return counts
 
@@ -117,9 +92,8 @@ class EventBatch:
         return [Event(kind, seq, tid, pc,
                       code[pc] if 0 <= pc < ncode else None,
                       addr, value, taken, target)
-                for kind, seq, tid, pc, addr, value, taken, target
-                in zip(self.kinds, self.seqs, self.tids, self.pcs,
-                       self.addrs, self.values, self.takens, self.targets)]
+                for kind, seq, tid, pc, _loc, addr, value, taken, target
+                in self.rows]
 
     def __len__(self) -> int:
         return self.count
@@ -128,4 +102,4 @@ class EventBatch:
         if self.count == 0:
             return "<EventBatch empty>"
         return (f"<EventBatch {self.count} events "
-                f"seq {self.seqs[0]}..{self.seqs[-1]}>")
+                f"seq {self.rows[0][1]}..{self.rows[-1][1]}>")

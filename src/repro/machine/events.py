@@ -120,8 +120,8 @@ class MachineObserver:
     checkpoints identical to a fully observed run).  The mask is read
     when the observer is attached -- it must not change afterwards.
     Batches are shared between observers and are *mixed-kind*: a
-    consumer dispatches on ``batch.kinds`` and ignores kinds outside
-    its interests.
+    consumer dispatches on each row's ``kind`` (``batch.rows``) and
+    ignores kinds outside its interests.
     """
 
     #: event kinds (``EV_*``) to receive, or None for the full stream

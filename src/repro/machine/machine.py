@@ -15,8 +15,9 @@ Two step engines share one machine:
 
 Events leave the machine one way: both engines append a flat row tuple
 per event to one staging buffer, and :meth:`Machine.flush_events` hands
-the staged rows to every observer's ``consume_batch`` as one columnar
-:class:`~repro.machine.batch.EventBatch`.  Observers declare an
+those rows to every observer's ``consume_batch`` as one
+:class:`~repro.machine.batch.EventBatch` (a copy of the staging list,
+the row tuples themselves shared).  Observers declare an
 interested-kind mask (``interests``); a kind nobody subscribed to is not
 even staged -- the global sequence number still advances, so traces,
 recorded schedules, replay and checkpoint/restore are identical to a
@@ -29,6 +30,12 @@ hot loop up to a step bound without finalizing, and :meth:`Machine.run`
 is that loop plus the step-limit stamp and finish notifications.  Of
 the library's hosts only the BER controller, which reads its detector
 after every instruction, calls :meth:`Machine.step`.
+
+The step closures capture the machine, so the machine and its step
+table reference each other.  A machine drops the table when it stops,
+which lets reference counting free a finished machine and its
+observers at once, and compiles it again if it is resumed (after
+:meth:`Machine.restore`, or once its status is set back to running).
 
 The runnable set is maintained incrementally at the status-transition
 sites (block, wake, sleep, halt, crash) instead of being rebuilt by an
@@ -259,11 +266,11 @@ class Machine:
         #: the pre-decode pass may bake its length)
         self._runnable_ids: List[int] = [t.tid for t in self.threads]
         self.predecoded = predecoded
+        #: the pre-decoded step table (None for the legacy engine and
+        #: while the machine is stopped)
+        self._table: Optional[List] = None
         if predecoded:
-            from repro.machine.predecode import compile_table
-            self._table = compile_table(self)
-            #: instance attribute shadows the legacy class method
-            self.step = self._predecoded_step
+            self._step_table()
 
         # schedulers that inspect machine state (the conflict-directed
         # fuzzing scheduler) bind here; plain schedulers have no hook
@@ -316,9 +323,9 @@ class Machine:
         if not rows:
             return
         if self._injector is not None:
-            batch = EventBatch.from_rows(self._injector.transform(rows))
+            batch = EventBatch(self._injector.transform(rows))
         else:
-            batch = EventBatch.from_rows(rows)
+            batch = EventBatch(rows[:])
         del rows[:]
         if batch.count:
             for sink in self._batch_sinks:
@@ -462,9 +469,23 @@ class Machine:
         self._notify_finish()
         return False
 
+    def _step_table(self) -> List:
+        """The pre-decoded step table, compiled when the machine has
+        none (at construction, and when a stopped machine resumes)."""
+        table = self._table
+        if table is None:
+            from repro.machine.predecode import compile_table
+            table = self._table = compile_table(self)
+        return table
+
+    def step(self) -> bool:
+        """Retire (at most) one instruction; return False when stopped."""
+        if self.predecoded:
+            return self._predecoded_step()
+        return self._legacy_step()
+
     def _predecoded_step(self) -> bool:
-        """Retire (at most) one instruction through the pre-decoded
-        table; return False when stopped."""
+        """One step through the pre-decoded table."""
         runnable = self._runnable_ids
         if not runnable:
             return self._finish_run()
@@ -476,19 +497,15 @@ class Machine:
             self._drain_commit(tid - self._drain_base)
             return self._post_step(tid)
         thread = self.threads[tid]
-        if self._table[thread.pc](thread):
+        if self._step_table()[thread.pc](thread):
             self.steps += 1
         if self.record_schedule:
             self.recorded_schedule.append(tid)
         return True
 
-    def step(self) -> bool:
-        """Retire (at most) one instruction; return False when stopped.
-
-        This class-level implementation is the legacy if/elif
-        interpreter -- the differential reference; a pre-decoded machine
-        shadows it with :meth:`_predecoded_step` at construction.
-        """
+    def _legacy_step(self) -> bool:
+        """One step through the legacy if/elif interpreter, the
+        differential reference."""
         runnable = self._runnable()
         if not runnable:
             return self._finish_run()
@@ -638,13 +655,15 @@ class Machine:
         machine-wide, so the hoisted bindings stay live across
         blocking, crashes and checkpoint/restore within the run."""
         running = MachineStatus.RUNNING
+        if self.status != running:
+            return False
         if not self.predecoded:
-            step = self.step
+            step = self._legacy_step
             while self.status == running and (stop is None
                                               or self.steps < stop):
                 step()
             return self.status == running
-        table = self._table
+        table = self._step_table()
         threads = self.threads
         runnable = self._runnable_ids
         pick = self.scheduler.pick
@@ -673,6 +692,9 @@ class Machine:
         return self.status == running
 
     def _notify_finish(self) -> None:
+        # the step closures capture the machine: without the table,
+        # reference counting frees a stopped machine and its observers
+        self._table = None
         if self._finished_notified:
             return
         self._finished_notified = True

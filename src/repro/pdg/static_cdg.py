@@ -37,14 +37,6 @@ def build_cfg(program: Program) -> Dict[int, List[int]]:
     return succ
 
 
-def _predecessors(succ: Dict[int, List[int]]) -> Dict[int, List[int]]:
-    pred: Dict[int, List[int]] = {node: [] for node in succ}
-    for node, targets in succ.items():
-        for target in targets:
-            pred.setdefault(target, []).append(node)
-    return pred
-
-
 def postdominators(succ: Dict[int, List[int]]) -> Dict[int, Set[int]]:
     """Full postdominator sets per node (iterative dataflow).
 

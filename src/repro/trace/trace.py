@@ -1,7 +1,7 @@
 """Trace recording and serialization.
 
 A :class:`Trace` holds one :class:`~repro.machine.batch.EventBatch`,
-the recorded stream in columnar form; every replay slices it into
+the recorded stream as row tuples; every replay slices it into
 windows.  :class:`Event` objects are built from it lazily, once, for
 the offline layer that walks events one at a time.
 
@@ -17,10 +17,10 @@ chunk holds the remainder)::
 Chunk boundaries follow from ``n_events`` and :data:`CHUNK_RECORDS`,
 so no count is stored.  Checksum rules:
 
-* :meth:`Trace.load` checks one crc per chunk and decodes the chunk
-  with one flat ``struct`` unpack, taking each column as a strided
-  slice of it.  Only a chunk whose crc fails has its record crcs
-  checked, to locate the damage: any damage raises
+* :meth:`Trace.load` checks one crc per chunk, decodes the chunk with
+  one flat ``struct`` unpack and builds its rows with one ``zip`` over
+  strided slices of it.  Only a chunk whose crc fails has its record
+  crcs checked, to locate the damage: any damage raises
   :class:`TraceLoadError` carrying the file path, byte offset and
   record index (the first damaged record, or the chunk's first record
   and its crc's offset when every record of the chunk is intact).
@@ -42,12 +42,11 @@ import json
 import struct
 import zlib
 from dataclasses import dataclass
-from itertools import chain, islice
 from typing import (Dict, Iterable, Iterator, List, Optional, Sequence,
                     Tuple)
 
 from repro.isa.program import Program
-from repro.machine.batch import DEFAULT_BATCH_SIZE, ROW_FIELDS, EventBatch
+from repro.machine.batch import DEFAULT_BATCH_SIZE, EventBatch
 from repro.machine.events import (
     EV_ACQUIRE, EV_LOAD, EV_RELEASE, EV_STORE, N_KINDS, Event,
     MachineObserver,
@@ -165,7 +164,7 @@ class Trace:
     @classmethod
     def from_batch(cls, program: Program, batch: EventBatch,
                    n_threads: int) -> "Trace":
-        """A trace over an already columnar stream (no Event built)."""
+        """A trace over an already batched stream (no Event built)."""
         trace = cls(program, (), n_threads)
         trace.batch = batch
         trace._events = None
@@ -205,8 +204,8 @@ class Trace:
         """The sequence number one past the last event -- what
         ``machine.seq`` was when the recording stopped.  Analyses replayed
         over the trace receive this as their end-of-stream position."""
-        seqs = self.batch.seqs
-        return seqs[-1] + 1 if seqs else 0
+        rows = self.batch.rows
+        return rows[-1][1] + 1 if rows else 0
 
     def accesses_by_address(self) -> Dict[int, List[Event]]:
         """Group memory accesses by word address, preserving order."""
@@ -274,10 +273,10 @@ class Trace:
         start = _header_end(data)
         header = _parse_header(path, data[:start])
         if _version(path, header) == 2:
-            fields = _v2_fields(path, data, start, header)
+            chunks = [_v2_fields(path, data, start, header)]
         else:
-            fields = _v3_fields(path, data, start, _n_events(path, header))
-        return cls.from_batch(program, _link(program, fields),
+            chunks = _v3_chunks(path, data, start, _n_events(path, header))
+        return cls.from_batch(program, _link(program, chunks),
                               header["n_threads"])
 
     @classmethod
@@ -304,18 +303,18 @@ class Trace:
             n_events = _inferred_count(len(data) - start)
             report.header_ok = False
         if version == 2:
-            fields = _v2_salvage(data, start, report)
+            chunks = [_v2_salvage(data, start, report)]
         else:
-            fields = _v3_salvage(data, start, n_events, report)
-        report.records_read = len(fields[0])
+            chunks = _v3_salvage(data, start, n_events, report)
+        batch = _link(program, chunks)
+        report.records_read = batch.count
         expected = header.get("n_events")
         if expected is not None:
             report.records_lost = max(
                 0, expected - report.records_read - report.records_skipped)
-        batch = _link(program, fields)
         n_threads = header.get("n_threads")
         if n_threads is None:
-            n_threads = 1 + max(batch.tids, default=0)
+            n_threads = 1 + max((row[2] for row in batch.rows), default=0)
         return cls.from_batch(program, batch, n_threads), report
 
 
@@ -333,32 +332,26 @@ class TraceRecorder(MachineObserver):
         self._n_threads = n_threads
         self._start_seq = start_seq
         self._end_seq = end_seq
-        #: the stream recorded since the last :meth:`trace` call, one
-        #: list per batch column
-        self._columns: Tuple[list, ...] = tuple([] for _ in ROW_FIELDS)
+        #: the rows recorded since the last :meth:`trace` call
+        self._rows: List[Tuple] = []
 
     def consume_batch(self, batch: EventBatch) -> None:
-        """Append the window's columns (no Event is built), cut to the
+        """Append the window's rows (no Event is built), cut to the
         recording window."""
         start, end = self._start_seq, self._end_seq
         if start == 0 and end is None:
-            columns = batch.columns()
+            self._rows += batch.rows
         else:
-            columns = zip(*(row for row in batch.rows()
-                            if row[1] >= start
-                            and (end is None or row[1] < end)))
-        for recorded, values in zip(self._columns, columns):
-            recorded += values
+            self._rows += [row for row in batch.rows
+                           if row[1] >= start
+                           and (end is None or row[1] < end)]
 
     def trace(self) -> Trace:
         """Hand the recording over: the events recorded since the
         recorder started, or since the previous call.  The recorder
-        keeps no copy -- a finished machine holds on to its observers
-        until the cyclic collector frees it, and a second copy of the
-        stream would be held with them."""
-        batch = EventBatch(tuple(tuple(column) for column in self._columns))
-        for column in self._columns:
-            column.clear()
+        keeps no copy."""
+        batch = EventBatch(self._rows)
+        self._rows = []
         return Trace.from_batch(self._program, batch, self._n_threads)
 
 
@@ -415,19 +408,23 @@ def _columns(rows: Sequence[Sequence]) -> List[Sequence]:
     return list(zip(*rows)) if rows else [()] * len(_FIELDS)
 
 
-def _link(program: Program, fields: Sequence[Sequence]) -> EventBatch:
-    """The file's eight field columns as the replay batch: ``loc``
-    from the program's pc->loc table and ``taken`` as a bool, so the
-    batch equals the live one field for field."""
-    kinds, seqs, tids, pcs, addrs, values, takens, targets = fields
+def _link(program: Program,
+          chunks: Iterable[Sequence[Sequence]]) -> EventBatch:
+    """Decoded records, eight field columns per chunk, as the replay
+    batch: ``loc`` from the program's pc->loc table and ``taken`` as a
+    bool, so each row equals the live one field for field.  One
+    C-level ``zip`` builds a chunk's rows."""
     loc_of_pc = [instr.loc for instr in program.code]
-    if pcs and 0 <= min(pcs) and max(pcs) < len(loc_of_pc):
-        locs = tuple(map(loc_of_pc.__getitem__, pcs))
-    else:
-        n = len(loc_of_pc)
-        locs = tuple(loc_of_pc[pc] if 0 <= pc < n else -1 for pc in pcs)
-    return EventBatch((kinds, seqs, tids, pcs, locs, addrs, values,
-                       tuple(map(bool, takens)), targets))
+    n = len(loc_of_pc)
+    rows: List[Tuple] = []
+    for kinds, seqs, tids, pcs, addrs, values, takens, targets in chunks:
+        if pcs and 0 <= min(pcs) and max(pcs) < n:
+            locs = map(loc_of_pc.__getitem__, pcs)
+        else:
+            locs = (loc_of_pc[pc] if 0 <= pc < n else -1 for pc in pcs)
+        rows += zip(kinds, seqs, tids, pcs, locs, addrs, values,
+                    map(bool, takens), targets)
+    return EventBatch(rows)
 
 
 # -- v3 ------------------------------------------------------------------------
@@ -440,28 +437,30 @@ _FULL_CHUNK = "<" + RECORD.format[1:] * CHUNK_RECORDS
 
 
 def _encode_v3(batch: EventBatch) -> bytes:
-    """Every record of ``batch`` in chunks, as :meth:`Trace.save`
-    writes them after the header."""
+    """Every row of ``batch`` as a record (``loc`` is not stored), in
+    chunks, as :meth:`Trace.save` writes them after the header."""
     pack, pack_crc, crc32 = _PAYLOAD.pack, _CRC.pack, zlib.crc32
-    records = zip(batch.kinds, batch.seqs, batch.tids, batch.pcs,
-                  batch.addrs, batch.values, batch.takens, batch.targets)
+    rows = batch.rows
     out: List[bytes] = []
-    for first in range(0, batch.count, CHUNK_RECORDS):
+    for first in range(0, len(rows), CHUNK_RECORDS):
         chunk: List[bytes] = []
-        for index, fields in enumerate(islice(records, CHUNK_RECORDS),
-                                       first):
+        for index, (kind, seq, tid, pc, _loc, addr, value, taken,
+                    target) in enumerate(
+                        rows[first:first + CHUNK_RECORDS], first):
             try:
-                payload = pack(*fields)
+                payload = pack(kind, seq, tid, pc, addr, value, taken,
+                               target)
             except struct.error as exc:
-                raise _unfit(index, fields, exc) from None
+                raise _unfit(index, rows[index], exc) from None
             chunk.append(payload + pack_crc(crc32(payload)))
         body = b"".join(chunk)
         out += (pack_crc(crc32(body)), body)
     return b"".join(out)
 
 
-def _unfit(index: int, fields: Sequence, exc: struct.error) -> ValueError:
-    """The located error for a record :data:`RECORD` cannot hold."""
+def _unfit(index: int, row: Tuple, exc: struct.error) -> ValueError:
+    """The located error for a row :data:`RECORD` cannot hold."""
+    fields = row[:4] + row[5:]  # a record has no loc
     for name, code, value in zip(_FIELDS, _PAYLOAD.format[1:], fields):
         low, high = _BOUNDS[code]
         if not isinstance(value, int) or not low <= value <= high:
@@ -504,16 +503,10 @@ def _unpack(body: memoryview, count: int) -> Tuple[int, ...]:
     return struct.Struct("<" + RECORD.format[1:] * count).unpack(body)
 
 
-def _field_columns(runs: Iterable[Sequence[int]]) -> List[Sequence]:
-    """Flat runs of record fields, in file order -> the eight field
-    columns (the record-crc field dropped).  Each run is sliced as it
-    arrives, so at most one run is held whole."""
-    parts: List[List[Sequence[int]]] = [[] for _ in _FIELDS]
-    for run in runs:
-        for k, part in enumerate(parts):
-            part.append(run[k::_WIDTH])
-    return [part[0] if len(part) == 1 else tuple(chain.from_iterable(part))
-            for part in parts]
+def _strided(run: Tuple[int, ...]) -> List[Tuple[int, ...]]:
+    """A chunk's flat run of record fields -> its eight field columns
+    (the record-crc field dropped)."""
+    return [run[k::_WIDTH] for k in range(len(_FIELDS))]
 
 
 def _check_records(body: memoryview, first: int,
@@ -540,31 +533,31 @@ def _check_records(body: memoryview, first: int,
                f"torn record ({len(body) - at} of {size} bytes)")
 
 
-def _v3_fields(path: str, data: bytes, start: int,
-               n_events: int) -> List[Sequence]:
+def _v3_chunks(path: str, data: bytes, start: int,
+               n_events: int) -> Iterator[List[Tuple[int, ...]]]:
+    """Each chunk's records as eight field columns.  The first damaged
+    chunk raises, located; so does, once every chunk has been read, the
+    first record of an unknown kind."""
     end = start + _body_size(n_events)
     if len(data) > end:
         raise TraceLoadError(path, end, n_events,
                              f"{len(data) - end} bytes after the last "
                              f"record")
-    columns = _field_columns(_intact_runs(path, data, start, n_events))
-    kinds = columns[0]
-    if kinds and max(kinds) >= N_KINDS:
-        index = next(i for i, kind in enumerate(kinds) if kind >= N_KINDS)
-        raise TraceLoadError(path, start + record_offset(index), index,
-                             f"event kind {kinds[index]} out of range")
-    return columns
-
-
-def _intact_runs(path: str, data: bytes, start: int,
-                 n_events: int) -> Iterator[Tuple[int, ...]]:
-    """Each chunk's records as one flat run; the first damaged chunk
-    raises, located."""
+    unknown = None
     for first, count, offset, body, intact in _chunks(data, start,
                                                       n_events):
         if not intact:
             _raise_damage(path, first, count, offset, body, n_events)
-        yield _unpack(body, count)
+        columns = _strided(_unpack(body, count))
+        kinds = columns[0]
+        if unknown is None and max(kinds) >= N_KINDS:
+            i = next(i for i, kind in enumerate(kinds) if kind >= N_KINDS)
+            unknown = (first + i, kinds[i])
+        yield columns
+    if unknown is not None:
+        index, kind = unknown
+        raise TraceLoadError(path, start + record_offset(index), index,
+                             f"event kind {kind} out of range")
 
 
 def _raise_damage(path: str, first: int, count: int, offset: int,
@@ -585,32 +578,29 @@ def _raise_damage(path: str, first: int, count: int, offset: int,
 
 
 def _v3_salvage(data: bytes, start: int, n_events: int,
-                report: SalvageReport) -> List[Sequence]:
-    columns = _field_columns(_salvaged_runs(data, start, n_events, report))
-    if columns[0] and max(columns[0]) >= N_KINDS:
-        rows = [row for row in zip(*columns) if row[0] < N_KINDS]
-        report.records_skipped += len(columns[0]) - len(rows)
-        columns = _columns(rows)
-    return columns
-
-
-def _salvaged_runs(data: bytes, start: int, n_events: int,
-                   report: SalvageReport) -> Iterator[Tuple[int, ...]]:
-    """Each chunk's readable records as one flat run: a damaged chunk
-    keeps the records whose own crc holds."""
+                report: SalvageReport) -> Iterator[List[Sequence]]:
+    """Each chunk's readable records as eight field columns: a damaged
+    chunk keeps the records whose own crc holds, and a record of an
+    unknown kind is skipped."""
     for first, count, offset, body, intact in _chunks(data, start,
                                                       n_events):
         if intact:
-            yield _unpack(body, count)
-            continue
-        kept: List[int] = []
-        for _index, _at, row, _reason in _check_records(
-                body, first, offset + _CRC.size):
-            if row is None:
-                report.records_skipped += 1
-            else:
-                kept.extend(row)
-        yield tuple(kept)
+            columns = _strided(_unpack(body, count))
+            if max(columns[0]) < N_KINDS:
+                yield columns
+                continue
+            kept = [record for record in zip(*columns)
+                    if record[0] < N_KINDS]
+            report.records_skipped += count - len(kept)
+        else:
+            kept = []
+            for _index, _at, record, _reason in _check_records(
+                    body, first, offset + _CRC.size):
+                if record is None:
+                    report.records_skipped += 1
+                else:
+                    kept.append(record[:-1])
+        yield _columns(kept)
 
 
 def _inferred_count(size: int) -> int:

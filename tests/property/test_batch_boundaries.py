@@ -47,7 +47,7 @@ class _Capture(MachineObserver):
         self.events = []
 
     def consume_batch(self, batch):
-        self.events.extend(batch.rows())
+        self.events.extend(batch.rows)
 
 
 def _svd_keys(report):

@@ -1,6 +1,6 @@
 """Property tests for the v3 trace format over hand-built batches.
 
-Save then load returns the batch column for column and the same Event
+Save then load returns the batch row for row and the same Event
 fields; any single flipped byte after the header fails a strict load,
 and salvage loses at most the one record holding that byte (none when
 the byte is in a chunk crc).
@@ -63,7 +63,7 @@ def traces(draw, n):
                      target))
         seq += gap
     n_threads = 1 + max((row[2] for row in rows), default=0)
-    return Trace.from_batch(PROGRAM, EventBatch.from_rows(rows), n_threads)
+    return Trace.from_batch(PROGRAM, EventBatch(rows), n_threads)
 
 
 def _fields(trace):
@@ -79,7 +79,7 @@ def test_save_load_round_trip_and_single_byte_damage(n, data, tmp_path):
     path = str(tmp_path / "t.trace")
     trace.save(path)
     loaded = Trace.load(path, PROGRAM)
-    assert loaded.batch.columns() == trace.batch.columns()
+    assert loaded.batch.rows == trace.batch.rows
     assert _fields(loaded) == _fields(trace)
     assert loaded.n_threads == trace.n_threads
 
@@ -96,11 +96,11 @@ def test_save_load_round_trip_and_single_byte_damage(n, data, tmp_path):
         Trace.load(path, PROGRAM)
 
     salvaged, report = Trace.salvage_load(path, PROGRAM)
-    rows = list(trace.batch.rows())
+    rows = list(trace.batch.rows)
     chunk, within = divmod(pos, CHUNK_SIZE)
     if within >= 4:  # inside a record: that record, and only it, goes
         del rows[chunk * CHUNK_RECORDS + (within - 4) // RECORD.size]
-    assert list(salvaged.batch.rows()) == rows
+    assert salvaged.batch.rows == rows
     assert report.records_read == len(rows)
     assert report.records_skipped == len(trace) - len(rows)
     assert report.records_lost == 0

@@ -1,7 +1,11 @@
 """Machine execution semantics, locks, crashes, checkpoints, determinism."""
 
+import gc
+import weakref
+
 import pytest
 
+from repro.engine import DetectorEngine
 from repro.lang import compile_source
 from repro.machine import (
     EV_ACQUIRE, EV_LOAD, EV_RELEASE, EV_STORE, Machine, MachineStatus,
@@ -201,6 +205,68 @@ class TestCheckpointRestore:
         assert m.crashed
         m.restore(snap)
         assert not m.crashed
+
+
+class TestStoppedMachine:
+    """The pre-decoded step closures capture their machine.  A machine
+    drops its step table when it stops, so reference counting alone
+    frees it and its observers, and compiles the table again when it
+    resumes."""
+
+    THREADS = [("worker", (10,)), ("worker", (10,))]
+
+    @pytest.fixture
+    def no_cyclic_collector(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        yield
+        if enabled:
+            gc.enable()
+
+    def _machine(self, **kwargs):
+        return Machine(compile_source(COUNTER_LOCKED), self.THREADS,
+                       scheduler=RandomScheduler(seed=3, switch_prob=0.4),
+                       **kwargs)
+
+    @pytest.mark.parametrize("predecoded", [True, False])
+    @pytest.mark.parametrize("max_steps,status", [
+        (None, MachineStatus.FINISHED), (100, MachineStatus.STEP_LIMIT)])
+    def test_freed_without_the_cyclic_collector(
+            self, no_cyclic_collector, predecoded, max_steps, status):
+        recorder = TraceRecorder(compile_source(COUNTER_LOCKED), 2)
+        machine = self._machine(observers=[recorder], predecoded=predecoded)
+        assert machine.run(max_steps=max_steps) == status
+        refs = [weakref.ref(machine), weakref.ref(recorder)]
+        del machine, recorder
+        assert [ref() for ref in refs] == [None, None]
+
+    def test_engine_run_freed_without_the_cyclic_collector(
+            self, no_cyclic_collector):
+        """The same through the engine: the machine, the engine and its
+        analysis go when the caller drops them."""
+        machine = self._machine()
+        engine = DetectorEngine(machine.program, ["frd"])
+        result = engine.run_machine(machine)
+        assert result.status == MachineStatus.FINISHED
+        refs = [weakref.ref(machine), weakref.ref(engine),
+                weakref.ref(result.detector("frd"))]
+        del machine, engine, result
+        assert [ref() for ref in refs] == [None, None, None]
+
+    @pytest.mark.parametrize("max_steps", [None, 120])
+    def test_restore_on_a_stopped_machine_runs_on(self, max_steps):
+        reference = self._machine(record_schedule=True)
+        reference.run()
+        m = self._machine(record_schedule=True)
+        m.advance(50)
+        snap = m.checkpoint()
+        assert m.run(max_steps=max_steps) != MachineStatus.RUNNING
+        assert m._table is None  # stopping dropped the step table
+        m.restore(snap)
+        assert m.run() == MachineStatus.FINISHED
+        assert m.memory == reference.memory
+        assert m.recorded_schedule == reference.recorded_schedule
+        assert m.steps == reference.steps
 
 
 class TestSchedulers:

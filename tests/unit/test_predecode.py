@@ -21,9 +21,10 @@ class _Capture(MachineObserver):
         # windows are shared, so a masked observer skips alien kinds
         mask = self.interests
         self.events.extend(
-            row for row in zip(batch.kinds, batch.seqs, batch.tids,
-                               batch.pcs, batch.addrs, batch.values)
-            if mask is None or row[0] in mask)
+            (kind, seq, tid, pc, addr, value)
+            for kind, seq, tid, pc, _loc, addr, value, _taken, _target
+            in batch.rows
+            if mask is None or kind in mask)
 
 
 def _machine(source, threads, **kwargs):

@@ -250,6 +250,19 @@ class TestMachineDrive:
         assert 0 < result.end_seq <= drive.machine.seq
         assert "svd" in result.reports
 
+    @pytest.mark.parametrize("chunk", [0, -1])
+    def test_chunk_below_one_is_refused(self, chunk):
+        """A chunk below 1 retires nothing; were it accepted, a
+        ``while drive.advance(chunk)`` loop would spin forever."""
+        workload = WORKLOADS["apache"]()
+        drive = DetectorEngine(workload.program, ["svd"]).drive_machine(
+            _fresh_machine(workload), max_steps=500)
+        with pytest.raises(ValueError, match="chunk must be at least 1"):
+            drive.advance(chunk)
+        assert drive.machine.steps == 0
+        assert drive.advance(1)
+        assert drive.machine.steps == 1
+
     def test_finalizes_only_once(self):
         from repro.engine import EngineError
         workload = WORKLOADS["apache"]()

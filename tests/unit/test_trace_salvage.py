@@ -60,7 +60,7 @@ def _synthetic(program, n):
     the chunk size)."""
     rows = [(2, seq, 0, 0, program.code[0].loc, -1, seq, False, -1)
             for seq in range(n)]
-    return Trace.from_batch(program, EventBatch.from_rows(rows), 1)
+    return Trace.from_batch(program, EventBatch(rows), 1)
 
 
 class TestFraming:
@@ -74,14 +74,14 @@ class TestFraming:
 
     def test_loaded_batch_equals_the_live_one(self, recorded, tmp_path):
         """Load decodes straight into the replay batch, and that batch
-        equals the recorder's live columns field for field (loc from
+        equals the recorder's live rows field for field (loc from
         the program, taken as a bool)."""
         program, trace = recorded
         path = str(tmp_path / "t.trace")
         trace.save(path)
         loaded = Trace.load(path, program)
-        assert loaded.batch.columns() == trace.batch.columns()
-        assert all(type(taken) is bool for taken in loaded.batch.takens)
+        assert loaded.batch.rows == trace.batch.rows
+        assert all(type(row[7]) is bool for row in loaded.batch.rows)
 
     def test_v3_chunks_and_records_are_crc_framed(self, recorded,
                                                    tmp_path):
@@ -138,7 +138,7 @@ class TestFraming:
         _write_v2(path, trace)
         loaded = Trace.load(str(path), program)
         assert _tuples(loaded) == _tuples(trace)
-        assert loaded.batch.columns() == trace.batch.columns()
+        assert loaded.batch.rows == trace.batch.rows
         # salvage skips one corrupted line and keeps the rest
         lines = path.read_bytes().splitlines(keepends=True)
         lines[11] = lines[11].replace(b",", b";", 1)
@@ -230,7 +230,7 @@ class TestStrictErrors:
         assert report.clean
         assert (report.records_read, report.records_skipped,
                 report.records_lost) == (len(trace), 0, 0)
-        assert salvaged.batch.columns() == trace.batch.columns()
+        assert salvaged.batch.rows == trace.batch.rows
 
     def test_garbage_header_is_located(self, recorded, tmp_path):
         program, _trace = recorded
