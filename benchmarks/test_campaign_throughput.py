@@ -1,8 +1,10 @@
-"""Sharded-campaign throughput and coordinator memory flatness.
+"""Campaign throughput (sharded and pooled) and coordinator memory
+flatness.
 
-The sharding tentpole claims the distribution layer is close to free
-and the streaming aggregation keeps the coordinator O(1).  This bench
-pins both claims in ``benchmarks/out/BENCH_campaign.json``:
+The distribution layer should be close to free, the worker pool should
+keep its workers busy on short tasks, and the streaming aggregation
+keeps the coordinator O(1).  This bench pins those claims in
+``benchmarks/out/BENCH_campaign.json``:
 
 * **sharded.events_per_sec** (asserted) -- end-to-end throughput of
   the full multi-shard path: ``plan`` (obs off) -> ``drive`` (3 local
@@ -23,9 +25,20 @@ pins both claims in ``benchmarks/out/BENCH_campaign.json``:
   floor.  Subprocesses keep the measurement honest -- each campaign's
   high-water mark is its own, not this process's.
 
+* **pool.events_per_sec** (asserted) -- the crash-isolating worker
+  pool on many short tasks: the 12-workload x 15-seed matrix of the
+  end-to-end benchmark's ``campaign-small`` workload (default config,
+  a few ms per task) through in-process ``run_campaign`` at
+  ``workers=2``, after one untimed warm-up campaign.  A parent that
+  napped 50 ms between drains left the workers idle and read
+  187k-191k ev/s, under half the serial run; one woken by each result
+  read 794k-816k, 1.8x the serial run.  The serial rate and the
+  parallel/serial ratio ride alongside, unasserted: a ratio floor
+  would measure the serial run as much as the pool.
+
 A ``single_pool`` reference section records the same matrix through
 in-process ``run_campaign`` so the artefact always shows what the
-sharding overhead actually cost.  Both floors are re-checked in CI via
+sharding overhead actually cost.  The floors are re-checked in CI via
 ``repro bench --check``.
 """
 
@@ -56,6 +69,17 @@ RSS_FLOOR = FLOORS["BENCH_campaign.json"]["rss.flatness"]
 RSS_SMALL_SEEDS = 25
 RSS_LARGE_SEEDS = 250
 RSS_MAX_STEPS = 2_000
+
+#: the pool matrix: ``campaign-small``'s workloads of the end-to-end
+#: benchmark, many short tasks that put the pool's wake-up on the
+#: critical path
+POOL_WORKLOADS = ("mysql-tablelock", "pgsql", "stringbuffer",
+                  "queue-region", "bank-transfer", "bounded-buffer",
+                  "rwlock-db", "double-checked-init", "spsc-ring",
+                  "txn-bank", "txn-cart", "txn-session")
+POOL_SEEDS = 15
+POOL_WORKERS = 2
+POOL_FLOOR = FLOORS["BENCH_campaign.json"]["pool.events_per_sec"]
 
 
 def _throughput_spec():
@@ -92,6 +116,20 @@ def _run_single_pool():
     report = run_campaign(_throughput_spec(), keep_results=False)
     seconds = time.perf_counter() - started
     aggregate = report.aggregate
+    assert aggregate.failed_count == 0
+    return aggregate.events, seconds
+
+
+def _run_pool(workers):
+    """One campaign over the pool matrix; returns (events, seconds)."""
+    spec = CampaignSpec(
+        workloads=[WorkloadSpec(name=name) for name in POOL_WORKLOADS],
+        seeds=POOL_SEEDS)
+    started = time.perf_counter()
+    report = run_campaign(spec, workers=workers, keep_results=False)
+    seconds = time.perf_counter() - started
+    aggregate = report.aggregate
+    assert aggregate.completed == len(POOL_WORKLOADS) * POOL_SEEDS
     assert aggregate.failed_count == 0
     return aggregate.events, seconds
 
@@ -135,6 +173,15 @@ def test_sharded_campaign_throughput_and_rss(tmp_path, emit_result):
     # have interpreted the identical stream
     assert single_events == best_events, (single_events, best_events)
 
+    # untimed warm-up: forked workers then inherit every import and
+    # first compile instead of paying for them inside the timed run
+    _run_pool(POOL_WORKERS)
+    pool_events, pool_seconds = _run_pool(POOL_WORKERS)
+    serial_events, serial_seconds = _run_pool(1)
+    assert serial_events == pool_events, (serial_events, pool_events)
+    pool_eps = pool_events / pool_seconds
+    serial_eps = serial_events / serial_seconds
+
     small_rss = _coordinator_peak_rss(tmp_path, "small", RSS_SMALL_SEEDS)
     large_rss = _coordinator_peak_rss(tmp_path, "large", RSS_LARGE_SEEDS)
     flatness = small_rss / large_rss
@@ -157,6 +204,16 @@ def test_sharded_campaign_throughput_and_rss(tmp_path, emit_result):
             "seconds": round(single_seconds, 6),
             "events_per_sec": round(single_events / single_seconds),
         },
+        "pool": {
+            "tasks": len(POOL_WORKLOADS) * POOL_SEEDS,
+            "workers": POOL_WORKERS,
+            "events": pool_events,
+            "seconds": round(pool_seconds, 6),
+            "events_per_sec": round(pool_eps),
+            "serial_seconds": round(serial_seconds, 6),
+            "serial_events_per_sec": round(serial_eps),
+            "parallel_over_serial": round(pool_eps / serial_eps, 3),
+        },
         "rss": {
             "small_tasks": RSS_SMALL_SEEDS,
             "large_tasks": RSS_LARGE_SEEDS,
@@ -165,6 +222,7 @@ def test_sharded_campaign_throughput_and_rss(tmp_path, emit_result):
             "flatness": round(flatness, 4),
         },
         "events_per_sec_floor": EPS_FLOOR,
+        "pool_events_per_sec_floor": POOL_FLOOR,
         "rss_flatness_floor": RSS_FLOOR,
     }
     from repro.harness import bench_gate
@@ -173,7 +231,9 @@ def test_sharded_campaign_throughput_and_rss(tmp_path, emit_result):
 
     emit_result("campaign_throughput", json.dumps(record, indent=2))
     # the pinned claims (also enforced on the artefact in CI via
-    # ``repro bench --check``): the shard fan-out stays cheap, and the
-    # coordinator's memory does not scale with the task count
+    # ``repro bench --check``): the shard fan-out stays cheap, the pool
+    # keeps its workers busy on short tasks, and the coordinator's
+    # memory does not scale with the task count
     assert sharded_eps >= EPS_FLOOR, record
+    assert pool_eps >= POOL_FLOOR, record
     assert flatness >= RSS_FLOOR, record

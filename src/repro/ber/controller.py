@@ -175,7 +175,9 @@ class BerController:
 
         while machine.status == MachineStatus.RUNNING:
             if max_steps is not None and machine.steps >= max_steps:
-                machine.status = MachineStatus.STEP_LIMIT
+                # stamps STEP_LIMIT and finishes the run: observers get
+                # on_finish and the machine drops its step table
+                machine.run(max_steps)
                 break
             if not machine.step():
                 break

@@ -54,7 +54,13 @@ from typing import Dict, List, Mapping, Tuple
 #: RSS on a 10x-task campaign -- streaming aggregation keeps the ratio
 #: near 1.0, a result-retaining parent drags it well below the 0.90
 #: floor.  (Floors-only gating expresses the "RSS stays flat" ceiling
-#: as a ratio >= 0.90.)
+#: as a ratio >= 0.90.)  ``pool.events_per_sec`` is the worker pool
+#: on short tasks: a 180-task campaign at ``workers=2`` (recorded
+#: 794k, 808k and 816k ev/s, and 376k-384k during a slow episode of
+#: the shared box).  Half the calm runs would fail the slow ones, so
+#: the floor sits below those at 300k; that is still 1.5x what a
+#: parent napping 50 ms between drains can reach (at most 4 tasks of
+#: ~2.4k events per nap, ~194k; it read 174k-191k).
 FLOORS: Dict[str, Dict[str, float]] = {
     "BENCH_engine.json": {
         "single_pass.events_per_sec": 380_000,
@@ -70,6 +76,7 @@ FLOORS: Dict[str, Dict[str, float]] = {
     },
     "BENCH_campaign.json": {
         "sharded.events_per_sec": 250_000,
+        "pool.events_per_sec": 300_000,
         "rss.flatness": 0.90,
     },
 }

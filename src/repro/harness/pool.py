@@ -7,14 +7,19 @@ It differs from ``multiprocessing.Pool`` where the harness needs it to:
 
 * **crash isolation** -- a worker that raises, dies, or hangs past a
   per-task timeout yields an ``error``/``timeout`` outcome for *that
-  task only*; the pool replaces the worker and the run continues.  Each
+  task only*; the pool replaces the worker and the run continues (a
+  timed-out worker is killed with SIGTERM, whose default action every
+  worker restores, whatever handler it was forked with).  Each
   worker's stderr is redirected to a scratch file, so when a worker dies
   outright (segfault, ``os._exit``, OOM kill) its last words -- exit
   code plus captured stderr tail -- land in the task's error outcome
   instead of vanishing with the process, and a ``pool.worker_crash``
   counter is recorded when :mod:`repro.obs` metrics are on;
 * **incremental streaming** -- outcomes are delivered to an
-  ``on_outcome`` callback the moment they arrive, in completion order;
+  ``on_outcome`` callback the moment they arrive, in completion order:
+  the parent blocks in ``multiprocessing.connection.wait`` on the result
+  pipe and every worker's process sentinel, so it wakes as soon as a
+  result lands or a worker exits, and dispatches the next task at once;
 * **budget cutoff** -- an optional wall-clock budget stops dispatching
   new tasks; undispatched tasks come back as ``skipped``;
 * **bounded retry** -- with ``retries=N``, a task whose attempt ends in
@@ -41,10 +46,12 @@ from __future__ import annotations
 import importlib
 import multiprocessing
 import os
+import signal
 import tempfile
 import time
 import traceback
 from dataclasses import dataclass, field
+from multiprocessing.connection import wait
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import repro.faults.runtime as faults
@@ -83,7 +90,9 @@ class PoolStatus:
 #: how much of a dead worker's captured stderr rides in the outcome
 _STDERR_TAIL_BYTES = 4096
 
-#: how often the parent wakes up to check deadlines and dead workers
+#: the longest the parent blocks waiting for a result or a worker exit;
+#: it bounds how late task deadlines, retry releases and ``monitor``
+#: beats are noticed when nothing arrives
 _POLL_SECONDS = 0.05
 
 
@@ -106,6 +115,11 @@ def _worker_loop(runner_dotted: str, worker_id: int, task_queue,
                  stderr_path: Optional[str] = None,
                  fault_map: Optional[Dict[int, Any]] = None,
                  ) -> None:  # pragma: no cover - child process
+    # the pool stops a timed-out worker with SIGTERM, which must kill
+    # it: a forked worker inherits the parent's handler, and one that
+    # raises (the CLI's raises KeyboardInterrupt) would end only the
+    # task, leaving the worker running while the parent replaces it
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
     if stderr_path is not None:
         # fd-level redirect so even hard crashes (abort, C extensions)
         # leave their last words where the parent can recover them
@@ -168,8 +182,9 @@ def parallel_map(runner: Callable[[Any], Any], payloads: Sequence[Any],
     ``runner`` must be an importable module-level callable.  See the
     module docstring for outcome semantics.  ``monitor``, when given,
     is called with a :class:`PoolStatus` snapshot on every scheduling
-    beat (each poll-loop turn in parallel mode, around every task in
-    serial mode); rate limiting is the consumer's job.
+    beat (each wake of the parent loop in parallel mode, at least every
+    ``_POLL_SECONDS``; around every task in serial mode); rate limiting
+    is the consumer's job.
     """
     total = len(payloads)
     outcomes: List[Optional[Outcome]] = [None] * total
@@ -363,9 +378,17 @@ def parallel_map(runner: Callable[[Any], Any], payloads: Sequence[Any],
             if drained:
                 feed()
                 continue  # re-drain until quiescent before health checks
-            time.sleep(_POLL_SECONDS)
-            if not result_queue.empty():
-                continue  # messages arrived during the nap: those first
+            # block until a result arrives or a worker exits
+            # (``_reader`` is SimpleQueue's read end, which
+            # concurrent.futures.process waits on the same way); a dead
+            # worker's sentinel stays readable only until the health
+            # pass below drops it from ``procs`` in this same turn, so
+            # the loop cannot spin on it
+            ready = wait([result_queue._reader]
+                         + [proc.sentinel for proc in procs.values()],
+                         timeout=_POLL_SECONDS)
+            if result_queue._reader in ready:
+                continue  # messages arrived while waiting: those first
 
             now = time.perf_counter()
             for worker_id, (index, t0) in list(running.items()):
@@ -401,9 +424,12 @@ def parallel_map(runner: Callable[[Any], Any], payloads: Sequence[Any],
         # when the last task finished between sampling beats
         sample_status()
     finally:
-        for proc in procs.values():
-            if proc.is_alive():
-                task_queue.put(None)
+        # one stop sentinel per worker, counted before the first is
+        # sent: an idle worker takes a sentinel and exits at once, so
+        # checking liveness between puts would starve the others (a
+        # surplus sentinel for a dead worker dies with the queue)
+        for _ in range(len(procs)):
+            task_queue.put(None)
         deadline = time.perf_counter() + 5
         for proc in procs.values():
             proc.join(timeout=max(0.1, deadline - time.perf_counter()))

@@ -1,10 +1,14 @@
 """BER controller unit tests."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.ber import BerController, BerOutcome, SwitchableScheduler
 from repro.lang import compile_source
 from repro.machine import MachineStatus, RandomScheduler, SerialScheduler
+from repro.workloads import apache_log
 from tests.conftest import COUNTER_LOCKED, COUNTER_RACE
 
 
@@ -148,3 +152,28 @@ class TestBerController:
             COUNTER_LOCKED, [("worker", (500,)), ("worker", (500,))])
         outcome = controller.run(max_steps=1000)
         assert outcome.status == MachineStatus.STEP_LIMIT
+
+    def test_step_limited_run_finishes_through_the_machine(self):
+        """A run stopped at ``max_steps`` after a rollback ends like any
+        step-limited machine run: observers see ``on_finish``, and the
+        machine drops its step table, so once the controller is dropped
+        reference counting alone frees the machine."""
+        workload = apache_log()
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            controller = BerController(
+                workload.program, workload.threads,
+                RandomScheduler(seed=9, switch_prob=0.5))
+            outcome = controller.run(max_steps=3000)
+            assert outcome.status == MachineStatus.STEP_LIMIT
+            assert (outcome.rollbacks, outcome.violations_seen) == (1, 1)
+            machine = controller.machine
+            assert machine._finished_notified
+            assert machine._table is None
+            ref = weakref.ref(machine)
+            del machine, controller
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
