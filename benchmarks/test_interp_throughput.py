@@ -10,10 +10,15 @@ records steps/sec for both engines under three observer loads,
 * **full SVD**    -- the online detector attached; detector work bounds
   the achievable speedup.
 
+A fourth mode, **full-svd-mysql**, runs the pre-decoded engine with
+full SVD on ``mysql_prepared(queries=2, fixed=True)``: almost no
+sharing, so SVD's register and store path dominates its detector cost,
+where apache's is dominated by remote delivery and CU closure.
+
 and asserts absolute floors on the pre-decoded engine
-(``bench_gate.FLOORS["BENCH_interp.json"]``: 0-observers and full-SVD
-steps/sec); the legacy engine's numbers and the speedups over it are
-recorded for context only.
+(``bench_gate.FLOORS["BENCH_interp.json"]``: 0-observers, full-SVD and
+full-SVD-on-mysql steps/sec); the legacy engine's numbers and the
+speedups over it are recorded for context only.
 
 Rounds are interleaved (best-of-5, like BENCH_obs) so CPU-frequency and
 cache drift hit every configuration equally.  Machine construction
@@ -33,7 +38,7 @@ from repro.core.online import OnlineSVD
 from repro.harness import bench_gate
 from repro.machine.scheduler import RandomScheduler
 from repro.trace.trace import TraceRecorder
-from repro.workloads import apache_log
+from repro.workloads import apache_log, mysql_prepared
 
 OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
 
@@ -44,6 +49,10 @@ FLOORS = bench_gate.FLOORS["BENCH_interp.json"]
 
 def _workload():
     return apache_log(writers=3, requests=40)
+
+
+def _mysql_workload():
+    return mysql_prepared(queries=2, fixed=True)
 
 
 def _observers_none(_workload_obj):
@@ -64,6 +73,9 @@ CONFIGS = [
     ("full-svd", _observers_svd),
 ]
 
+#: the register-and-store-path mode (pre-decoded engine only)
+MYSQL_MODE = "predecoded/full-svd-mysql"
+
 
 def _timed_run(workload, predecoded, make_observers):
     """Build the machine outside the timer, time only the run."""
@@ -79,16 +91,17 @@ def _timed_run(workload, predecoded, make_observers):
 
 def test_interp_throughput(emit_result):
     workload = _workload()
-    modes = [(f"{engine}/{config}", predecoded, make_observers)
+    modes = [(f"{engine}/{config}", workload, predecoded, make_observers)
              for config, make_observers in CONFIGS
              for engine, predecoded in (("legacy", False),
                                         ("predecoded", True))]
+    modes.append((MYSQL_MODE, _mysql_workload(), True, _observers_svd))
 
-    best = {name: None for name, _p, _m in modes}
+    best = {name: None for name, _w, _p, _m in modes}
     steps_by_mode = {}
     for _ in range(ROUNDS):
-        for name, predecoded, make_observers in modes:
-            steps, elapsed = _timed_run(workload, predecoded,
+        for name, mode_workload, predecoded, make_observers in modes:
+            steps, elapsed = _timed_run(mode_workload, predecoded,
                                         make_observers)
             steps_by_mode[name] = steps
             if best[name] is None or elapsed < best[name]:
@@ -104,6 +117,7 @@ def test_interp_throughput(emit_result):
 
     record = {
         "workload": "apache_log(writers=3, requests=40)",
+        "mysql_workload": "mysql_prepared(queries=2, fixed=True)",
         "max_steps": MAX_STEPS,
         "rounds": ROUNDS,
         "modes": {

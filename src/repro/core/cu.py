@@ -5,7 +5,8 @@ and a write set -- rather than by its dynamic instructions ("Represent CU
 with memory blocks, not dynamic instructions").  ``merge_and_update``
 unions CUs; we implement the "update old CU references" part with
 forwarding pointers resolved lazily, so merging is O(smaller set) and
-references held by registers, blocks and the control stack stay valid.
+the one CU reference a register, block or control-stack entry holds
+stays valid: it is resolved (:meth:`Cu.resolve`) only where it is used.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ class Cu:
     """One computational unit of one thread."""
 
     __slots__ = ("uid", "tid", "rs", "ws", "active", "merged_into",
-                 "birth_seq", "reported_blocks", "n_blocks_peak")
+                 "birth_seq", "reported_blocks")
 
     def __init__(self, tid: int, birth_seq: int) -> None:
         self.uid = next(_ids)
@@ -31,7 +32,6 @@ class Cu:
         self.merged_into: Optional["Cu"] = None
         self.birth_seq = birth_seq
         self.reported_blocks: Set[int] = set()  # violation dedup per block
-        self.n_blocks_peak = 0
 
     def resolve(self) -> "Cu":
         """Follow forwarding pointers to the canonical CU (path-halving)."""
@@ -46,16 +46,9 @@ class Cu:
         """Record an input block: a read not preceded by a CU write."""
         if block not in self.ws:
             self.rs.add(block)
-            self._track_peak()
 
     def add_write(self, block: int) -> None:
         self.ws.add(block)
-        self._track_peak()
-
-    def _track_peak(self) -> None:
-        size = len(self.rs) + len(self.ws)
-        if size > self.n_blocks_peak:
-            self.n_blocks_peak = size
 
     @property
     def blocks(self) -> Set[int]:
@@ -94,5 +87,4 @@ def merge_cus(cus: Iterable[Cu], tid: int, seq: int) -> Cu:
         target.reported_blocks |= other.reported_blocks
         other.merged_into = target
         other.active = False
-    target._track_peak()
     return target

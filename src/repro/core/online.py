@@ -16,12 +16,22 @@ Per the paper's pragmatic considerations (§4.3):
 * only a CU's *input blocks* (read set) are checked for conflicts
   (configurable for the ablation study);
 * fixed-size blocks (word-sized by default) approximate variables.
+
+A register or control-stack entry holds one CU *reference*, as in
+Figure 7, not a set: a LOAD sets its destination to the block's CU, and
+an ALU copies its one tracked source.  Only an ALU that joins two
+different units holds a ``frozenset`` of the active roots they resolved
+to.  A value is resolved (forwarding pointers followed, closed units
+dropped) only where it is used: at a store, or at such a join.  A
+store whose data, address and control values resolve to at most one
+unit -- nearly every store -- checks that unit and keeps it without
+calling ``merge_cus``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from repro.core.cu import Cu, merge_cus
 from repro.core.fsm import (
@@ -75,9 +85,70 @@ _LOAD_STATE = tuple(on_local_load(s) for s in sorted(STATE_NAMES))
 _STORE_STATE = tuple(on_local_store(s)[0] for s in sorted(STATE_NAMES))
 _REMOTE_STATE = tuple(on_remote_access(s) for s in sorted(STATE_NAMES))
 
-#: shared "no tracked dataflow" register value; never mutated (readers
-#: only feed it to ``_resolved``, which builds a fresh set)
-_NO_CUS: Set[Cu] = frozenset()
+#: what a register or control-stack entry holds: one CU reference, or
+#: the active roots an ALU joined; ``None`` for no tracked dataflow
+Value = Union[Cu, FrozenSet[Cu]]
+
+#: the register-file slot an immediate operand reads: the last one,
+#: past every register index, so it always holds None
+_IMM = -1
+
+#: :func:`_unit`'s answer when a value resolves to several units
+_MANY = object()
+
+
+def _unit(value: Optional[Value]):
+    """The one active unit ``value`` resolves to: None for none, or
+    :data:`_MANY` for several."""
+    if value is None:
+        return None
+    if value.__class__ is Cu:
+        root = value.resolve()
+        return root if root.active else None
+    unit = None
+    for cu in value:
+        root = cu.resolve()
+        if root.active and root is not unit:
+            if unit is not None:
+                return _MANY
+            unit = root
+    return unit
+
+
+def _meet(unit, value: Value):
+    """Fold ``value`` into ``unit`` (a :func:`_unit` answer)."""
+    other = _unit(value)
+    if other is None or other is unit:
+        return unit
+    return other if unit is None else _MANY
+
+
+def _roots(value: Optional[Value]) -> Set[Cu]:
+    """The set of active units ``value`` resolves to."""
+    if value is None:
+        return set()
+    if value.__class__ is Cu:
+        value = (value,)
+    out: Set[Cu] = set()
+    for cu in value:
+        root = cu.resolve()
+        if root.active:
+            out.add(root)
+    return out
+
+
+def _join(a: Value, b: Value) -> Optional[Value]:
+    """An ALU's value when its sources hold two different values."""
+    roots = _roots(a)
+    roots |= _roots(b)
+    if len(roots) > 1:
+        return frozenset(roots)
+    return roots.pop() if roots else None
+
+
+def _slot(operand) -> int:
+    """The register-file slot an operand reads."""
+    return operand.index if isinstance(operand, Reg) else _IMM
 
 
 class _Block:
@@ -97,28 +168,30 @@ class _Block:
 
 
 class _ThreadSvd:
-    """The Figure 7 algorithm, one instance per thread/processor."""
+    """The Figure 7 algorithm, one instance per thread/processor.
 
-    def __init__(self, tid: int, manager: "OnlineSVD") -> None:
+    It holds what it writes to -- the manager's directory, log and
+    report -- but not the manager, so a finished detector is freed by
+    reference counting."""
+
+    def __init__(self, tid: int, svd: "OnlineSVD") -> None:
         self.tid = tid
-        self.manager = manager
-        self.config = manager.config
-        self.program = manager.program
         # config is settled before the machine runs (detectors are built
         # lazily at the first event); cache the per-access flags so the
         # hot handlers skip the attribute chains
-        config = self.config
+        config = svd.config
         self._log_comms = config.log_communications
         self._use_addr_deps = config.use_address_deps
         self._use_ctrl_deps = config.use_control_deps
         self._2pl_check = config.enable_2pl_check
         self._check_all = config.check_all_blocks
-        self._reconv = manager._reconv
-        self._alu_ops = manager._alu_ops
-        self._branch_cond = manager._branch_cond
+        #: the manager's directory: block -> tids tracking it
+        self._trackers = svd.trackers
+        self._log = svd.log
+        self._report = svd.report
         self.blocks: Dict[int, _Block] = {}
-        self.regs: Dict[int, Set[Cu]] = {}
-        self.ctrl_stack: List[Tuple[Set[Cu], int]] = []
+        self.regs: List[Optional[Value]] = [None] * svd._reg_slots
+        self.ctrl_stack: List[Tuple[Optional[Value], int]] = []
         #: last local write per block (survives CU closure; feeds the
         #: (s, rw, lw) communication-triple log)
         self.local_writes: Dict[int, Tuple[int, int]] = {}
@@ -129,6 +202,8 @@ class _ThreadSvd:
         self.cus_created = 0
         self.cus_closed = 0
         self.cus_merged = 0
+        #: blocks examined by this thread's strict-2PL checks
+        self.violation_checks = 0
         self.peak_tracked_blocks = 0
         #: CU of the most recent local memory access (canonical); lets
         #: extensions such as the precise checker attribute accesses
@@ -136,35 +211,8 @@ class _ThreadSvd:
 
     # -- helpers -----------------------------------------------------------
 
-    def _resolved(self, cus: Set[Cu]) -> Set[Cu]:
-        if len(cus) == 1:
-            # dominant case: registers almost always carry one CU
-            (cu,) = cus
-            cu = cu.resolve()
-            return {cu} if cu.active else set()
-        out: Set[Cu] = set()
-        for cu in cus:
-            cu = cu.resolve()
-            if cu.active:
-                out.add(cu)
-        return out
-
-    def _reg_cus(self, index: Optional[int]) -> Set[Cu]:
-        """Tracked CUs of register ``index`` (None for an immediate
-        operand, which carries no dataflow)."""
-        if index is not None:
-            cus = self.regs.get(index)
-            if cus is not None:
-                return cus
-        return _NO_CUS
-
-    def _pop_reconverged(self, pc: int) -> None:
-        while self.ctrl_stack and self.ctrl_stack[-1][1] == pc:
-            self.ctrl_stack.pop()
-
     def _new_cu(self, seq: int) -> Cu:
         self.cus_created += 1
-        self.manager.cus_created += 1
         cu = Cu(self.tid, seq)
         self.live_cus[cu.uid] = cu
         return cu
@@ -172,10 +220,18 @@ class _ThreadSvd:
     def _track(self, block: int, cu: Cu) -> _Block:
         entry = _Block(cu)
         self.blocks[block] = entry
-        self.manager.register_interest(block, self.tid)
+        self._trackers.setdefault(block, set()).add(self.tid)
         if len(self.blocks) > self.peak_tracked_blocks:
             self.peak_tracked_blocks = len(self.blocks)
         return entry
+
+    def _untrack(self, block: int) -> None:
+        del self.blocks[block]
+        trackers = self._trackers.get(block)
+        if trackers is not None:
+            trackers.discard(self.tid)
+            if not trackers:
+                del self._trackers[block]
 
     def deactivate(self, cu: Cu, reason: str, end_seq: int) -> None:
         """``deactivate_log_CU``: close a CU, reset its blocks to Idle and
@@ -186,53 +242,46 @@ class _ThreadSvd:
         cu.active = False
         self.live_cus.pop(cu.uid, None)
         self.cus_closed += 1
-        self.manager.cus_closed += 1
-        self.manager.log.add_cu_record(CuLogRecord(
+        self._log.add_cu_record(CuLogRecord(
             tid=self.tid, uid=cu.uid, birth_seq=cu.birth_seq,
             end_seq=end_seq, read_blocks=tuple(sorted(cu.rs)),
             write_blocks=tuple(sorted(cu.ws)), reason=reason))
         for block in cu.rs | cu.ws:
             entry = self.blocks.get(block)
             if entry is not None and entry.cu.resolve() is cu:
-                del self.blocks[block]
-                self.manager.unregister_interest(block, self.tid)
+                self._untrack(block)
         # register and control-stack references to `cu` are filtered
         # lazily via the active flag
 
     # -- event handlers ------------------------------------------------------
 
-    def on_store(self, seq: int, loc: int, block: int,
-                 src_reg: Optional[int],
-                 addr_reg: Optional[int]) -> None:
-        data_set = self._resolved(self._reg_cus(src_reg))
-        addr_set: Set[Cu] = _NO_CUS
+    def on_store(self, seq: int, loc: int, block: int, src_reg: int,
+                 addr_reg: int) -> None:
+        """Figure 7's store.  Its dataflow side resolves the data,
+        address and control values, merges the data units and writes
+        the block (FSM, write set, ``local_writes``,
+        ``last_access_cu``); its conflict side is the strict-2PL check
+        of every unit the values resolve to, made before the merge.
+        Remote delivery and ``last_writer`` are the manager's."""
+        regs = self.regs
+        value = regs[src_reg]
+        data = unit = _unit(value)
         if self._use_addr_deps:
-            addr_set = self._resolved(self._reg_cus(addr_reg))
-        ctrl_set: Set[Cu] = _NO_CUS
-        if self._use_ctrl_deps and self.ctrl_stack:
-            ctrl_set = set()
-            for cus, _reconv in self.ctrl_stack:
-                ctrl_set |= self._resolved(cus)
-        if self._2pl_check:
-            if addr_set or ctrl_set:
-                self._check_violations(data_set | addr_set | ctrl_set,
-                                       seq, loc)
-            elif data_set:
-                self._check_violations(data_set, seq, loc)
-
-        merged = merge_cus(data_set, self.tid, seq)
-        if not data_set:
-            self.cus_created += 1
-            self.manager.cus_created += 1
-        elif len(data_set) > 1:
-            # merged-away units stop being live canonical CUs
-            absorbed = len(data_set) - 1
-            self.cus_merged += absorbed
-            self.manager.cus_merged += absorbed
-            for cu in data_set:
-                if cu is not merged:
-                    self.live_cus.pop(cu.uid, None)
-        self.live_cus[merged.uid] = merged
+            other = regs[addr_reg]
+            if other is not None and other is not value:
+                unit = _meet(unit, other)
+        if self._use_ctrl_deps:
+            for other, _reconv in self.ctrl_stack:
+                if other is not None and other is not value:
+                    unit = _meet(unit, other)
+        if unit is _MANY:
+            merged = self._merge_store(value, addr_reg, seq, loc)
+        else:
+            # at most one unit: check it, and keep the data's unit (a
+            # store of untracked data starts its own)
+            if unit is not None and self._2pl_check:
+                self._check_unit(unit, seq, loc)
+            merged = data if data is not None else self._new_cu(seq)
         entry = self.blocks.get(block)
         if entry is None:
             entry = self._track(block, merged)
@@ -242,14 +291,34 @@ class _ThreadSvd:
         self.local_writes[block] = (seq, loc)
         self.last_access_cu = merged
 
-    def on_branch(self, pc: int) -> None:
-        if not self._use_ctrl_deps:
-            return
-        reconv = self._reconv.get(pc)
-        if reconv is None:
-            return  # loop-type control flow is not inferred (Skipper)
-        cus = self._resolved(self._reg_cus(self._branch_cond[pc]))
-        self.ctrl_stack.append((cus, reconv))
+    def _merge_store(self, value: Optional[Value], addr_reg: int,
+                     seq: int, loc: int) -> Cu:
+        """A store where different units meet: check them all, in
+        creation order, then ``merge_and_update`` the data units."""
+        data_set = _roots(value)
+        checked = set(data_set)
+        if self._use_addr_deps:
+            checked |= _roots(self.regs[addr_reg])
+        if self._use_ctrl_deps:
+            for other, _reconv in self.ctrl_stack:
+                checked |= _roots(other)
+        if self._2pl_check:
+            # creation order: iterating the raw set would emit
+            # same-event violations in identity-hash order, which
+            # differs from process to process
+            for cu in sorted(checked, key=lambda c: c.uid):
+                self._check_unit(cu, seq, loc)
+        merged = merge_cus(data_set, self.tid, seq)
+        if not data_set:
+            self.cus_created += 1
+            self.live_cus[merged.uid] = merged
+        elif len(data_set) > 1:
+            # merged-away units stop being live canonical CUs
+            self.cus_merged += len(data_set) - 1
+            for cu in data_set:
+                if cu is not merged:
+                    self.live_cus.pop(cu.uid, None)
+        return merged
 
     def on_remote(self, block: int, is_write: bool, seq: int, loc: int,
                   tid: int, addr: int) -> None:
@@ -272,42 +341,34 @@ class _ThreadSvd:
         for cu in list(self.live_cus.values()):
             self.deactivate(cu, "thread-end", seq)
         self.ctrl_stack.clear()
-        self.regs.clear()
+        self.regs[:] = [None] * len(self.regs)
         # deactivation empties `blocks`; sweep any stragglers so the
         # directory holds no stale interest for this thread
         for block in list(self.blocks):
-            del self.blocks[block]
-            self.manager.unregister_interest(block, self.tid)
+            self._untrack(block)
 
-    # -- checks and logging ------------------------------------------------------
+    # -- checks ------------------------------------------------------------------
 
-    def _check_violations(self, cus: Set[Cu], seq: int, loc: int) -> None:
-        """Strict-2PL check at a store (Figure 7, line 18).
-
-        CUs are visited in creation order: iterating the raw set would
-        emit same-event violations in identity-hash order, which differs
-        from process to process and breaks replay determinism.
-        """
-        ordered = cus if len(cus) < 2 else sorted(cus, key=lambda c: c.uid)
-        for cu in ordered:
-            if not cu.active:
+    def _check_unit(self, cu: Cu, seq: int, loc: int) -> None:
+        """Strict-2PL check of one active unit at a store (Figure 7,
+        line 18): report each input block a remote access conflicted
+        with, once per unit."""
+        blocks = cu.rs if not self._check_all else cu.rs | cu.ws
+        self.violation_checks += len(blocks)
+        for block in blocks:
+            if block in cu.reported_blocks:
                 continue
-            blocks = cu.rs if not self._check_all else cu.rs | cu.ws
-            self.manager.violation_checks += len(blocks)
-            for block in blocks:
-                if block in cu.reported_blocks:
-                    continue
-                entry = self.blocks.get(block)
-                if entry is None or not entry.conflict:
-                    continue
-                cu.reported_blocks.add(block)
-                self.manager.report.add(Violation(
-                    detector="svd", seq=seq, tid=self.tid,
-                    loc=loc, address=entry.conflict_addr,
-                    kind="serializability-violation",
-                    other_loc=entry.conflict_loc,
-                    other_tid=entry.conflict_tid,
-                    cu_birth_seq=cu.birth_seq))
+            entry = self.blocks.get(block)
+            if entry is None or not entry.conflict:
+                continue
+            cu.reported_blocks.add(block)
+            self._report.add(Violation(
+                detector="svd", seq=seq, tid=self.tid,
+                loc=loc, address=entry.conflict_addr,
+                kind="serializability-violation",
+                other_loc=entry.conflict_loc,
+                other_tid=entry.conflict_tid,
+                cu_birth_seq=cu.birth_seq))
 
 
 class OnlineSVD(MachineObserver):
@@ -334,58 +395,46 @@ class OnlineSVD(MachineObserver):
             pc: program.reconvergence_of_branch(pc)
             for pc, instr in enumerate(program.code)
             if isinstance(instr, Branch)}
-        #: per-pc ALU operand decode -- (src1 reg index or None, src2
-        #: reg index or None, dest index).  ALU ops are ~half a typical
-        #: event stream; tabulating the operand shapes once spares every
-        #: event the attribute walks and isinstance checks.
-        self._alu_ops: Dict[int, Tuple[Optional[int], Optional[int], int]] = {
-            pc: (instr.src1.index if isinstance(instr.src1, Reg) else None,
-                 instr.src2.index if isinstance(instr.src2, Reg) else None,
-                 instr.dest.index)
+        #: per-pc ALU operand decode -- (src1 slot, src2 slot, dest
+        #: index), an immediate source reading slot :data:`_IMM`.  ALU
+        #: ops are ~half a typical event stream; tabulating the operand
+        #: shapes once spares every event the attribute walks and
+        #: isinstance checks.
+        self._alu_ops: Dict[int, Tuple[int, int, int]] = {
+            pc: (_slot(instr.src1), _slot(instr.src2), instr.dest.index)
             for pc, instr in enumerate(program.code)
             if isinstance(instr, Alu)}
         #: per-pc operand decode for the remaining handler kinds, so the
         #: hot path (and the batch loop) never touches an
-        #: instruction object: Load dest register, Store (src reg or
-        #: None, addr reg or None), Branch condition register
+        #: instruction object: Load dest register, Store (src slot,
+        #: addr slot), Branch condition register
         self._load_dest: Dict[int, int] = {
             pc: instr.dest.index
             for pc, instr in enumerate(program.code)
             if isinstance(instr, Load)}
-        self._store_ops: Dict[int, Tuple[Optional[int], Optional[int]]] = {
-            pc: (instr.src.index if isinstance(instr.src, Reg) else None,
-                 instr.addr.index if isinstance(instr.addr, Reg) else None)
+        self._store_ops: Dict[int, Tuple[int, int]] = {
+            pc: (_slot(instr.src), _slot(instr.addr))
             for pc, instr in enumerate(program.code)
             if isinstance(instr, Store)}
         self._branch_cond: Dict[int, int] = {
             pc: instr.cond.index
             for pc, instr in enumerate(program.code)
             if isinstance(instr, Branch)}
+        #: register-file length: a slot per register index the tables
+        #: name, plus the immediate slot after them
+        self._reg_slots = 2 + max(
+            [*self._load_dest.values(), *self._branch_cond.values(),
+             *(i for ops in self._alu_ops.values() for i in ops),
+             *(i for ops in self._store_ops.values() for i in ops)],
+            default=-1)
         self.threads: Dict[int, _ThreadSvd] = {}
         #: directory: block -> set of thread ids currently tracking it
         self.trackers: Dict[int, Set[int]] = {}
         #: block -> (tid, seq, loc) of its globally last writer
         self.last_writer: Dict[int, Tuple[int, int, int]] = {}
         self.instructions = 0
-        self.cus_created = 0
-        self.cus_closed = 0
-        self.cus_merged = 0
         #: REMOTE_ACCESS messages delivered through the directory
         self.remote_messages = 0
-        #: blocks examined by the strict-2PL check across all stores
-        self.violation_checks = 0
-
-    # -- directory ---------------------------------------------------------------
-
-    def register_interest(self, block: int, tid: int) -> None:
-        self.trackers.setdefault(block, set()).add(tid)
-
-    def unregister_interest(self, block: int, tid: int) -> None:
-        trackers = self.trackers.get(block)
-        if trackers is not None:
-            trackers.discard(tid)
-            if not trackers:
-                del self.trackers[block]
 
     def _thread(self, tid: int) -> _ThreadSvd:
         detector = self.threads.get(tid)
@@ -412,20 +461,24 @@ class OnlineSVD(MachineObserver):
         per field, and the per-thread detector (plus its never-
         reassigned ``ctrl_stack``/``regs`` objects) is re-fetched only
         when the tid actually changes -- scheduler quanta make runs of
-        the same thread the common case.  The ALU and LOAD handlers,
-        roughly two thirds of a typical stream, are additionally
-        inlined."""
+        the same thread the common case.  The ALU, LOAD and BRANCH
+        handlers, roughly three quarters of a typical stream, are
+        additionally inlined."""
         count = batch.count
         if not count:
             return
         self.instructions += count
         threads_get = self.threads.get
         block_size = self._block_size
+        alu_ops = self._alu_ops
         load_dest = self._load_dest
         store_ops = self._store_ops
+        reconv_get = self._reconv.get
+        branch_cond = self._branch_cond
+        use_ctrl_deps = self.config.use_control_deps
         last_writer = self.last_writer
         deliver = self._deliver_remote
-        trackers_get = self.trackers.get
+        trackers = self.trackers
         log_add = self.log.add_entry
         load_state = _LOAD_STATE
         cut_at_wait = self.config.cut_at_wait
@@ -437,7 +490,7 @@ class OnlineSVD(MachineObserver):
         halt = EV_HALT
         crash = EV_CRASH
         last_tid = -1
-        detector = stack = regs = alu_ops = None
+        detector = stack = regs = None
         for (kind, seq, tid, pc, loc, addr, _value, _taken,
              _target) in batch.rows:
             if tid != last_tid:
@@ -447,7 +500,6 @@ class OnlineSVD(MachineObserver):
                 last_tid = tid
                 stack = detector.ctrl_stack
                 regs = detector.regs
-                alu_ops = detector._alu_ops
                 blocks = detector.blocks
                 local_writes = detector.local_writes
                 log_comms = detector._log_comms
@@ -456,19 +508,15 @@ class OnlineSVD(MachineObserver):
                     stack.pop()
             if kind == alu:
                 # the hottest handler (ALU ops are ~half a typical
-                # stream): the no-dataflow case -- neither source
-                # register carries a tracked CU -- allocates nothing
+                # stream): the destination takes its tracked source's
+                # value by reference; only two different values are
+                # joined (and resolved)
                 src1, src2, dest = alu_ops[pc]
-                cus1 = regs.get(src1) if src1 is not None else None
-                cus2 = regs.get(src2) if src2 is not None else None
-                if not cus1 and not cus2:
-                    if dest in regs:
-                        del regs[dest]
-                else:
-                    result = detector._resolved(cus1) if cus1 else set()
-                    if cus2:
-                        result |= detector._resolved(cus2)
-                    regs[dest] = result
+                value = regs[src1]
+                other = regs[src2]
+                if other is not None and other is not value:
+                    value = other if value is None else _join(value, other)
+                regs[dest] = value
             elif kind == load:
                 block = addr // block_size
                 # (s, rw, lw) communication-triple logging (paper
@@ -498,29 +546,36 @@ class OnlineSVD(MachineObserver):
                     entry = detector._track(block,
                                             detector._new_cu(seq))
                 entry.state = new_state
-                cu = entry.cu.resolve()
-                cu.add_read(block)
-                regs[load_dest[pc]] = {cu}
+                # Cu.resolve and Cu.add_read, inlined: a block's CU is
+                # almost always canonical already
+                cu = entry.cu
+                if cu.merged_into is not None:
+                    cu = cu.resolve()
+                if block not in cu.ws:
+                    cu.rs.add(block)
+                regs[load_dest[pc]] = cu
                 detector.last_access_cu = cu
-                # inlined _deliver_remote early-out: the accessor
-                # tracks its own block, so the dominant case is a
-                # single tracker -- the accessing thread itself -- and
-                # must not pay the call
-                trackers = trackers_get(block)
-                if trackers is not None and (
-                        len(trackers) != 1 or tid not in trackers):
+                # inlined _deliver_remote early-out: an access leaves
+                # its block tracked by the accessor, so the dominant
+                # case -- a single tracker, the accessing thread itself
+                # -- must not pay the call
+                if len(trackers[block]) > 1:
                     deliver(block, False, seq, loc, tid, addr)
             elif kind == store:
                 block = addr // block_size
                 src_reg, addr_reg = store_ops[pc]
                 detector.on_store(seq, loc, block, src_reg, addr_reg)
-                trackers = trackers_get(block)
-                if trackers is not None and (
-                        len(trackers) != 1 or tid not in trackers):
+                if len(trackers[block]) > 1:
                     deliver(block, True, seq, loc, tid, addr)
                 last_writer[block] = (tid, seq, loc)
             elif kind == branch:
-                detector.on_branch(pc)
+                # Skipper: push the condition's value until the
+                # reconvergence pc; loop-type control flow (no
+                # reconvergence point) is not inferred
+                if use_ctrl_deps:
+                    reconv = reconv_get(pc)
+                    if reconv is not None:
+                        stack.append((regs[branch_cond[pc]], reconv))
             elif kind == wait:
                 if cut_at_wait:
                     for cu in list(detector.live_cus.values()):
@@ -561,6 +616,23 @@ class OnlineSVD(MachineObserver):
         self.finish(machine.seq)
 
     # -- statistics --------------------------------------------------------------
+
+    @property
+    def cus_created(self) -> int:
+        return sum(d.cus_created for d in self.threads.values())
+
+    @property
+    def cus_closed(self) -> int:
+        return sum(d.cus_closed for d in self.threads.values())
+
+    @property
+    def cus_merged(self) -> int:
+        return sum(d.cus_merged for d in self.threads.values())
+
+    @property
+    def violation_checks(self) -> int:
+        """Blocks examined by the strict-2PL check across all stores."""
+        return sum(d.violation_checks for d in self.threads.values())
 
     @property
     def open_cus(self) -> int:

@@ -37,7 +37,14 @@ from typing import Dict, List, Mapping, Tuple
 #:
 #: ``BENCH_interp.json``: pre-decoded interpreter steps/sec with no
 #: observers and with full online SVD attached (recorded
-#: 1.44M-1.61M and 362k-412k steps/s).
+#: 1.44M-1.61M and 362k-412k steps/s).  With one CU reference per
+#: register, full SVD on apache read 457k, 478k and 491k, and 345k in
+#: a slow episode of the shared box, against 266k-411k before; half of
+#: the slowest is below 180k, so that floor stays.
+#: ``full-svd-mysql`` is full SVD on ``mysql_prepared(queries=2,
+#: fixed=True)``, where SVD's register and store path dominates: it
+#: read 593k, 611k, 841k and 902k steps/s (516k-671k before), and its
+#: floor sits at half the slowest.
 #:
 #: ``BENCH_serve.json``: sustained ``repro serve`` fleet throughput --
 #: a supervised fleet of short executions must complete at least this
@@ -70,6 +77,7 @@ FLOORS: Dict[str, Dict[str, float]] = {
     "BENCH_interp.json": {
         "modes.predecoded/0-observers.steps_per_sec": 700_000,
         "modes.predecoded/full-svd.steps_per_sec": 180_000,
+        "modes.predecoded/full-svd-mysql.steps_per_sec": 300_000,
     },
     "BENCH_serve.json": {
         "executions_per_sec": 60,

@@ -152,7 +152,14 @@ def replay_execution(program: Program, recording: Recording,
                       observers=list(observers),
                       memmodel=resolve_model(recording.consistency,
                                              recording.model_seed))
-    machine.run(max_steps=recording.steps + len(recording.schedule) + 1)
+    # a run its step limit stopped replays to that limit; any other run
+    # gets slack past its recorded length, so a divergence shows as a
+    # step-count mismatch rather than a silent cut
+    if recording.status == MachineStatus.STEP_LIMIT:
+        limit = recording.steps
+    else:
+        limit = recording.steps + len(recording.schedule) + 1
+    machine.run(max_steps=limit)
     if strict and machine.steps != recording.steps:
         raise ValueError(
             f"replay divergence: recorded {recording.steps} steps, "

@@ -137,11 +137,11 @@ class DegradationLadder:
             return self._move(-1, now)
         return None
 
-    def snapshot(self) -> Dict[str, object]:
+    def snapshot(self, now: Optional[float] = None) -> Dict[str, object]:
         return {
             "level": self.level,
             "budget_events_per_sec": self.budget,
-            "rate_events_per_sec": round(self.rate(), 1),
+            "rate_events_per_sec": round(self.rate(now), 1),
             "transitions": [{"ts": ts, "from": old, "to": new}
                             for ts, old, new in self.transitions],
         }

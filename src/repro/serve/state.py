@@ -7,7 +7,6 @@ thread (built fresh per request under the GIL -- no locks)."""
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
@@ -44,10 +43,10 @@ class ExecInfo:
     def killed(self) -> bool:
         return self.kill_reason is not None
 
-    def progress(self, steps: int, events: int) -> None:
+    def progress(self, steps: int, events: int, now: float) -> None:
         self.steps = steps
         self.events = events
-        self.last_progress = time.perf_counter()
+        self.last_progress = now
 
     def to_json(self) -> Dict[str, Any]:
         return {"index": self.index, "workload": self.workload,

@@ -33,7 +33,7 @@ import signal
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import repro.faults.runtime as fault_runtime
 import repro.obs as obs
@@ -109,10 +109,17 @@ class ServeConfig:
 
 class Supervisor:
     """Runs a :class:`ServeConfig` fleet to completion (or to a
-    signal).  One instance drives one ``run()``."""
+    signal).  One instance drives one ``run()``.
 
-    def __init__(self, config: ServeConfig) -> None:
+    ``clock`` (seconds, default :func:`time.perf_counter`) is the one
+    time base of the watchdog, the ladder's rates and dwells, uptime
+    and :attr:`elapsed`; a test can pass a virtual clock so that they
+    follow the work done rather than the host's speed."""
+
+    def __init__(self, config: ServeConfig,
+                 clock: Callable[[], float] = time.perf_counter) -> None:
         self.config = config
+        self.clock = clock
         self.ladder = DegradationLadder(
             config.budget_events_per_sec, dwell=config.ladder_dwell,
             window=config.ladder_window)
@@ -124,7 +131,7 @@ class Supervisor:
         self.http: Optional[StatusServer] = None
         self._stop: Optional[asyncio.Event] = None
         self._shutdown_reason: Optional[str] = None
-        self._started = time.perf_counter()
+        self._started = clock()
         self.elapsed: float = 0.0
         # workloads build (and compile) lazily on first use and are
         # then shared -- machines are fresh per attempt, and startup
@@ -159,7 +166,7 @@ class Supervisor:
             self.request_shutdown(exc.args[0] if exc.args else "SIGINT")
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, held)
-            self.elapsed = time.perf_counter() - self._started
+            self.elapsed = self.clock() - self._started
             if self.http is not None:
                 self.http.stop()
                 self.http = None
@@ -196,7 +203,7 @@ class Supervisor:
 
     def status_snapshot(self) -> Dict[str, object]:
         return {
-            "uptime": round(time.perf_counter() - self._started, 3),
+            "uptime": round(self.clock() - self._started, 3),
             "outcome": self.outcome(),
             "draining": self.draining,
             "shutdown_reason": self._shutdown_reason,
@@ -204,7 +211,7 @@ class Supervisor:
                            "launched": self.totals.launched,
                            "active": len(self._active)},
             "totals": self.totals.to_json(),
-            "ladder": self.ladder.snapshot(),
+            "ladder": self.ladder.snapshot(self.clock()),
             "breaker": self.breaker.snapshot(),
             "active": [self.execs[i].to_json()
                        for i in sorted(self._active)],
@@ -222,7 +229,7 @@ class Supervisor:
             "shutdown_reason": self._shutdown_reason,
             "elapsed": round(self.elapsed, 3),
             "totals": self.totals.to_json(),
-            "ladder": self.ladder.snapshot(),
+            "ladder": self.ladder.snapshot(self.clock()),
             "breaker": self.breaker.snapshot(),
             "violation_feed": self.feed.to_json(),
         }
@@ -292,7 +299,7 @@ class Supervisor:
         try:
             while True:
                 await asyncio.sleep(cfg.watchdog_poll)
-                now = time.perf_counter()
+                now = self.clock()
                 for info in list(self._active.values()):
                     if info.killed:
                         continue
@@ -302,7 +309,7 @@ class Supervisor:
                         info.kill("stall")
                 # recovery transitions must not wait for the next busy
                 # chunk -- evaluate the ladder on the idle path too
-                self.ladder.maybe_transition()
+                self.ladder.maybe_transition(now)
                 hb = cfg.heartbeat
                 if hb is not None:
                     self._sync_heartbeat(hb)
@@ -337,7 +344,7 @@ class Supervisor:
                 info.attempt = attempt
                 info.state = "running"
                 info.kill_reason = None
-                info.started_at = info.last_progress = time.perf_counter()
+                info.started_at = info.last_progress = self.clock()
                 self._active[index] = info
                 try:
                     ok = await self._attempt(info, attempt)
@@ -422,10 +429,11 @@ class Supervisor:
                 else:
                     stop = min(machine.steps + cfg.chunk, cfg.max_steps)
                     more = machine.advance(stop) and stop < cfg.max_steps
-                info.progress(machine.steps, machine.seq)
-                self.ladder.note_events(machine.seq - last_events)
+                info.progress(machine.steps, machine.seq, self.clock())
+                self.ladder.note_events(machine.seq - last_events,
+                                        self.clock())
                 last_events = machine.seq
-                self.ladder.maybe_transition()
+                self.ladder.maybe_transition(self.clock())
                 if not more:
                     break
                 # yield so the watchdog, the drain and sibling
@@ -458,7 +466,7 @@ class Supervisor:
                 count = sampler.total_dynamic_reports()
                 if count:
                     self._record_violations(info, "svd-sampled", count)
-        info.progress(machine.steps, machine.seq)
+        info.progress(machine.steps, machine.seq, self.clock())
         return True
 
     # -- accounting --------------------------------------------------------

@@ -27,16 +27,48 @@ from repro.faults import FaultPlan
 from repro.faults.plan import Fault
 from repro.harness.heartbeat import ServeHeartbeat
 from repro.serve import ServeConfig, Supervisor
+from repro.serve.supervisor import SLOW_CONSUMER_CHUNK_SECONDS
 
 REPO = Path(__file__).resolve().parents[2]
 
 
-def _run_supervised(config, plan=None):
-    supervisor = Supervisor(config)
+def _run_supervised(config, plan=None, clock=None):
+    supervisor = (Supervisor(config) if clock is None
+                  else clock.attach(Supervisor(config, clock=clock)))
     with obs.session(tracing=False) as handle:
         with faults.install(plan):
             outcome = supervisor.run()
     return supervisor, outcome, handle.registry.snapshot()["counters"]
+
+
+class ChunkClock:
+    """Virtual seconds for a supervisor: ``step`` per executed chunk,
+    plus, for a chunk of an execution in ``backpressure``, the seconds a
+    ``serve.slow_consumer`` fault sleeps after it.  The ladder's rates
+    and dwells then follow the work done, not the speed of the host."""
+
+    def __init__(self, step, backpressure=None):
+        self.now = 0.0
+        self.step = step
+        self.backpressure = backpressure or {}
+
+    def __call__(self):
+        return self.now
+
+    def attach(self, supervisor):
+        """Tick once per executed chunk: each ends in one
+        ``note_events`` call."""
+        note = supervisor.ladder.note_events
+
+        def ticking(count, now=None):
+            self.now += self.step
+            if self.backpressure:
+                (index,) = supervisor._active  # one execution at a time
+                self.now += self.backpressure.get(index, 0.0)
+            note(count, self.now)
+
+        supervisor.ladder.note_events = ticking
+        return supervisor
 
 
 class TestInjectedExecutionFaults:
@@ -128,12 +160,16 @@ class TestAnalysisBreakerFleetwide:
 
 
 class TestDegradationLadderUnderLoad:
+    """Both tests run on a :class:`ChunkClock` of 1 ms per chunk, so
+    the ladder's verdicts do not depend on the host's load."""
+
     def test_ladder_degrades_under_budget_and_counts_it(self):
         config = ServeConfig(workloads=("apache",), executions=20,
                              concurrency=2, max_steps=4000, chunk=400,
                              budget_events_per_sec=3000,
                              ladder_dwell=0.05)
-        supervisor, outcome, counters = _run_supervised(config)
+        supervisor, outcome, counters = _run_supervised(
+            config, clock=ChunkClock(0.001))
         assert counters["serve.ladder.full_to_sampled"] >= 1
         assert counters["serve.ladder.sampled_to_paused"] >= 1
         by_mode = supervisor.totals.by_mode
@@ -147,13 +183,17 @@ class TestDegradationLadderUnderLoad:
     def test_ladder_recovers_when_pressure_lifts(self):
         # slow consumers on the tail executions collapse the rolling
         # rate, so the ladder must climb back up before the fleet ends
+        slow = range(12, 16)
         plan = FaultPlan([Fault("serve.slow_consumer", at=i, count=10)
-                          for i in range(12, 16)])
+                          for i in slow])
         config = ServeConfig(workloads=("apache",), executions=16,
                              concurrency=1, max_steps=1500, chunk=300,
                              budget_events_per_sec=20_000,
                              ladder_dwell=0.05, ladder_window=0.4)
-        supervisor, outcome, counters = _run_supervised(config, plan)
+        clock = ChunkClock(0.001, {i: SLOW_CONSUMER_CHUNK_SECONDS * 10
+                                   for i in slow})
+        supervisor, outcome, counters = _run_supervised(config, plan,
+                                                        clock)
         degraded = (counters.get("serve.ladder.full_to_sampled", 0)
                     + counters.get("serve.ladder.sampled_to_paused", 0))
         recovered = (counters.get("serve.ladder.sampled_to_full", 0)

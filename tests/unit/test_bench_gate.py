@@ -138,8 +138,10 @@ class TestBenchCommand:
         # against a reference implementation
         assert FLOORS["BENCH_engine.json"]["single_pass.events_per_sec"] > 0
         interp = FLOORS["BENCH_interp.json"]
-        assert set(interp) == {"modes.predecoded/0-observers.steps_per_sec",
-                               "modes.predecoded/full-svd.steps_per_sec"}
+        assert set(interp) == {
+            "modes.predecoded/0-observers.steps_per_sec",
+            "modes.predecoded/full-svd.steps_per_sec",
+            "modes.predecoded/full-svd-mysql.steps_per_sec"}
         assert not any("speedup" in key
                        for floors in FLOORS.values() for key in floors)
         assert bench_gate.FLOORS is FLOORS

@@ -81,6 +81,19 @@ class TestRecordReplayCli:
         assert "replayed" in out
         assert "svd:" in out
 
+    def test_replay_step_limited_recording(self, tmp_path, capsys):
+        """A recording cut by --max-steps replays to the same cut."""
+        source = tmp_path / "race.msp"
+        source.write_text(RACE)
+        recording = tmp_path / "r.json"
+        assert main(["exec", str(source), "--thread", "worker:15",
+                     "--thread", "worker:15", "--seed", "3",
+                     "--max-steps", "10", "--record", str(recording)]) == 0
+        assert "(10 steps)" in capsys.readouterr().out
+        assert main(["replay", str(source), str(recording)]) == 0
+        assert ("replayed 10 steps deterministically (status step_limit)"
+                in capsys.readouterr().out)
+
     def test_replay_wrong_program_rejected(self, tmp_path, capsys):
         source = tmp_path / "race.msp"
         source.write_text(RACE)

@@ -1,10 +1,15 @@
 """White-box tests of the online detector's internal machinery."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core import OnlineSVD, SvdConfig
+from repro.harness.runner import run_workload
 from repro.lang import compile_source
 from repro.machine import Machine, RandomScheduler, SerialScheduler
+from repro.workloads import apache_log
 from tests.conftest import run_with_svd
 
 
@@ -70,7 +75,7 @@ class TestRegisterPropagation:
         machine.add_observer(svd)
         machine.run()
         # at thread end registers were cleared
-        assert all(not d.regs for d in svd.threads.values())
+        assert all(not any(d.regs) for d in svd.threads.values())
 
     def test_alu_unions_cusets(self):
         """Two independent shared reads feed one ALU: the consuming
@@ -151,3 +156,26 @@ class TestCommunicationLog:
         entry = matching[0]
         assert entry.remote_tid != entry.tid
         assert entry.local_seq < entry.remote_seq < entry.reader_seq
+
+
+class TestLifetime:
+    @pytest.fixture
+    def no_cyclic_collector(self):
+        enabled = gc.isenabled()
+        gc.disable()
+        yield
+        if enabled:
+            gc.enable()
+
+    def test_finished_svd_freed_without_the_cyclic_collector(
+            self, no_cyclic_collector):
+        """Per-thread detectors hold the directory, log and report they
+        write to, not their manager, so dropping a finished run's
+        result frees its SVD -- CU log and communication log with it --
+        by reference counting alone."""
+        result = run_workload(apache_log(writers=3, requests=12), seed=5)
+        svd = result.engine.detector("svd")
+        assert svd.log.cu_records and svd.threads
+        ref = weakref.ref(svd)
+        del svd, result
+        assert ref() is None

@@ -4,8 +4,10 @@ import pytest
 
 from repro.core import OnlineSVD
 from repro.lang import compile_source
-from repro.machine import (RandomScheduler, Recording, program_fingerprint,
-                           record_execution, replay_execution)
+from repro.machine import (MachineStatus, RandomScheduler, Recording,
+                           program_fingerprint, record_execution,
+                           replay_execution)
+from repro.workloads import apache_log
 from tests.conftest import COUNTER_RACE
 
 
@@ -50,6 +52,21 @@ class TestRecording:
         assert loaded.fingerprint == recording.fingerprint
         replayed = replay_execution(program, loaded)
         assert replayed.steps == recording.steps
+
+    @pytest.mark.parametrize("max_steps", [10, 3000])
+    def test_step_limited_recording_replays_to_its_limit(self, max_steps):
+        """A run its step limit stopped replays exactly that many steps
+        and stops the same way, not past the limit."""
+        workload = apache_log(writers=3, requests=40)
+        machine, recording = record_execution(
+            workload.program, workload.threads,
+            RandomScheduler(seed=3, switch_prob=0.3), max_steps=max_steps)
+        assert recording.status == MachineStatus.STEP_LIMIT
+        assert recording.steps == max_steps
+        replayed = replay_execution(workload.program, recording)
+        assert replayed.status == MachineStatus.STEP_LIMIT
+        assert replayed.steps == max_steps
+        assert replayed.memory == machine.memory
 
     def test_fingerprint_mismatch_rejected(self, recorded):
         _program, _machine, recording = recorded
