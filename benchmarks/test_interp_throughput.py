@@ -1,24 +1,23 @@
-"""Interpreter throughput: pre-decoded vs legacy step engines.
+"""Interpreter throughput: steps/sec of the pre-decoded interpreter.
 
-Compiling ``program.code`` into per-pc specialized step closures --
-plus kind-masked row staging -- makes the interpreter substantially
-faster without changing a single observable byte.  This benchmark
-records steps/sec for both engines under three observer loads,
+The interpreter runs per-pc specialized step closures compiled from
+``program.code``, with kind-masked row staging.  This benchmark records
+its steps/sec on ``apache_log(writers=3, requests=40)`` under three
+observer loads,
 
 * **0 observers** -- pure interpretation; the kind mask stages nothing.
 * **trace only**  -- one full-stream recorder attached.
-* **full SVD**    -- the online detector attached; detector work bounds
-  the achievable speedup.
+* **full SVD**    -- the online detector attached.
 
-A fourth mode, **full-svd-mysql**, runs the pre-decoded engine with
-full SVD on ``mysql_prepared(queries=2, fixed=True)``: almost no
-sharing, so SVD's register and store path dominates its detector cost,
-where apache's is dominated by remote delivery and CU closure.
+A fourth mode, **full-svd-mysql**, runs full SVD on
+``mysql_prepared(queries=2, fixed=True)``: almost no sharing, so SVD's
+register and store path dominates its detector cost, where apache's is
+dominated by remote delivery and CU closure.
 
-and asserts absolute floors on the pre-decoded engine
-(``bench_gate.FLOORS["BENCH_interp.json"]``: 0-observers, full-SVD and
-full-SVD-on-mysql steps/sec); the legacy engine's numbers and the
-speedups over it are recorded for context only.
+It asserts absolute floors (``bench_gate.FLOORS["BENCH_interp.json"]``:
+0-observers, full-SVD and full-SVD-on-mysql steps/sec); trace-only is
+recorded for context.  Mode keys keep their ``predecoded/`` prefix, so
+the floors and the results-DB trend history stay keyed alike.
 
 Rounds are interleaved (best-of-5, like BENCH_obs) so CPU-frequency and
 cache drift hit every configuration equally.  Machine construction
@@ -73,16 +72,15 @@ CONFIGS = [
     ("full-svd", _observers_svd),
 ]
 
-#: the register-and-store-path mode (pre-decoded engine only)
+#: the register-and-store-path mode
 MYSQL_MODE = "predecoded/full-svd-mysql"
 
 
-def _timed_run(workload, predecoded, make_observers):
+def _timed_run(workload, make_observers):
     """Build the machine outside the timer, time only the run."""
     machine = workload.make_machine(
         RandomScheduler(seed=11, switch_prob=0.3),
-        observers=make_observers(workload),
-        predecoded=predecoded)
+        observers=make_observers(workload))
     started = time.perf_counter()
     machine.run(max_steps=MAX_STEPS)
     elapsed = time.perf_counter() - started
@@ -91,29 +89,18 @@ def _timed_run(workload, predecoded, make_observers):
 
 def test_interp_throughput(emit_result):
     workload = _workload()
-    modes = [(f"{engine}/{config}", workload, predecoded, make_observers)
-             for config, make_observers in CONFIGS
-             for engine, predecoded in (("legacy", False),
-                                        ("predecoded", True))]
-    modes.append((MYSQL_MODE, _mysql_workload(), True, _observers_svd))
+    modes = [(f"predecoded/{config}", workload, make_observers)
+             for config, make_observers in CONFIGS]
+    modes.append((MYSQL_MODE, _mysql_workload(), _observers_svd))
 
-    best = {name: None for name, _w, _p, _m in modes}
+    best = {name: None for name, _w, _m in modes}
     steps_by_mode = {}
     for _ in range(ROUNDS):
-        for name, mode_workload, predecoded, make_observers in modes:
-            steps, elapsed = _timed_run(mode_workload, predecoded,
-                                        make_observers)
+        for name, mode_workload, make_observers in modes:
+            steps, elapsed = _timed_run(mode_workload, make_observers)
             steps_by_mode[name] = steps
             if best[name] is None or elapsed < best[name]:
                 best[name] = elapsed
-
-    # both engines must have retired the identical step count, or the
-    # comparison is meaningless
-    legacy_steps = {n: s for n, s in steps_by_mode.items()
-                    if n.startswith("legacy/")}
-    for name, steps in legacy_steps.items():
-        twin = name.replace("legacy/", "predecoded/")
-        assert steps_by_mode[twin] == steps, (name, twin)
 
     record = {
         "workload": "apache_log(writers=3, requests=40)",
@@ -128,12 +115,8 @@ def test_interp_throughput(emit_result):
             }
             for name, seconds in sorted(best.items())
         },
-        "speedup": {},
         "floors": dict(FLOORS),
     }
-    for config, _make in CONFIGS:
-        ratio = best[f"legacy/{config}"] / best[f"predecoded/{config}"]
-        record["speedup"][config] = round(ratio, 3)
 
     record = bench_gate.write_artefact(
         os.path.join(OUT_DIR, "BENCH_interp.json"), record)

@@ -83,8 +83,7 @@ class BerController:
                  checkpoint_interval: int = 2000,
                  recovery_window: int = 4000,
                  max_rollbacks: int = 50,
-                 region_rollback_budget: int = 8,
-                 predecoded: bool = True) -> None:
+                 region_rollback_budget: int = 8) -> None:
         if checkpoint_interval <= 0:
             raise ValueError("checkpoint_interval must be positive")
         self.program = program
@@ -95,7 +94,7 @@ class BerController:
         # the detector at once -- a larger window would defer
         # violations to the next flush boundary
         self.machine = Machine(program, threads, scheduler=self.scheduler,
-                               predecoded=predecoded, batch_size=1)
+                               batch_size=1)
         self.checkpoint_interval = checkpoint_interval
         self.recovery_window = recovery_window
         self.max_rollbacks = max_rollbacks

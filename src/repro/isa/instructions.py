@@ -292,8 +292,9 @@ def _mod(a: int, b: int) -> int:
 #: op -> binary callable, each returning a plain int (comparisons and
 #: logicals produce 0/1, never bool, so register contents and trace
 #: serializations stay type-stable).  The pre-decoded interpreter bakes
-#: the resolved callable into each ALU step closure; the legacy
-#: interpreter reaches the same functions through :func:`evaluate_alu`.
+#: the resolved callable into each ALU step closure; the compiler's
+#: constant folding reaches the same functions through
+#: :func:`evaluate_alu`.
 ALU_FUNCS = {
     "+": _add,
     "-": _sub,

@@ -1,21 +1,16 @@
 """The deterministic multiprocessor interpreter.
 
-Two step engines share one machine:
+At construction, :mod:`repro.machine.predecode` compiles
+``program.code`` into a per-pc table of specialized step closures --
+operand registers, immediates, bounds checks and event fields are baked
+in at compile time, so the hot loop is ``table[pc](thread)`` with zero
+``type()``/``isinstance`` work per retired instruction.  Its behaviour
+is pinned by the golden digests of
+``tests/integration/test_differential_batching.py``.
 
-* the **pre-decoded** engine (default): at construction,
-  :mod:`repro.machine.predecode` compiles ``program.code`` into a
-  per-pc table of specialized step closures -- operand registers,
-  immediates, bounds checks and event fields are baked in at compile
-  time, so the hot loop is ``table[pc](thread)`` with zero
-  ``type()``/``isinstance`` work per retired instruction;
-* the **legacy** engine (``Machine(..., predecoded=False)``): the
-  original 12-arm ``if/elif`` dispatch with per-access operand
-  decoding, kept byte-for-byte in behaviour as the differential
-  reference for the pre-decoded engine.
-
-Events leave the machine one way: both engines append a flat row tuple
-per event to one staging buffer, and :meth:`Machine.flush_events` hands
-those rows to every observer's ``consume_batch`` as one
+Events leave the machine one way: the step closures append a flat row
+tuple per event to one staging buffer, and :meth:`Machine.flush_events`
+hands those rows to every observer's ``consume_batch`` as one
 :class:`~repro.machine.batch.EventBatch` (a copy of the staging list,
 the row tuples themselves shared).  Observers declare an
 interested-kind mask (``interests``); a kind nobody subscribed to is not
@@ -39,8 +34,7 @@ observers at once, and compiles it again if it is resumed (after
 
 The runnable set is maintained incrementally at the status-transition
 sites (block, wake, sleep, halt, crash) instead of being rebuilt by an
-O(threads) scan per step; the legacy engine keeps its original scan as
-the reference behaviour, but the transitions feed both.
+O(threads) scan per step.
 """
 
 from __future__ import annotations
@@ -54,16 +48,8 @@ import repro.faults.runtime as faults
 from repro.faults.inject import StreamInjector
 from repro.machine.batch import DEFAULT_BATCH_SIZE, EventBatch
 from repro.machine.memmodel import MemoryModel, StrictModel, resolve_model
-from repro.isa.instructions import (
-    Acquire, Alu, Assert, Branch, Halt, Imm, Jump, Load, Notify,
-    NotifyAll, Output, Reg, Release, Store, Wait, evaluate_alu,
-)
 from repro.isa.program import Program
-from repro.machine.events import (
-    EV_ACQUIRE, EV_ALU, EV_BRANCH, EV_CRASH, EV_HALT, EV_JUMP, EV_LOAD,
-    EV_NOTIFY, EV_OUTPUT, EV_RELEASE, EV_STORE, EV_WAIT, N_KINDS,
-    MachineObserver,
-)
+from repro.machine.events import EV_CRASH, EV_STORE, N_KINDS, MachineObserver
 from repro.machine.scheduler import RandomScheduler, Scheduler
 
 RUNNABLE = 0
@@ -124,7 +110,7 @@ class ThreadState:
 
 
 class _KindEmit:
-    """Per-event-kind emission state, shared by both step engines.
+    """Per-event-kind emission state.
 
     The pre-decoded step closures capture these objects at compile time,
     so :meth:`Machine._rebuild_emit_state` must mutate them in place --
@@ -157,10 +143,6 @@ class Machine:
         record_schedule: when true, the processor-id choice of every step
             is recorded in :attr:`recorded_schedule` so the run can be
             replayed exactly with a :class:`ReplayScheduler`.
-        predecoded: select the pre-decoded threaded step engine (the
-            default) or the legacy if/elif interpreter, the differential
-            reference.  Both produce byte-identical event streams,
-            schedules and architectural state.
         batch_size: capacity of the staging buffer before an automatic
             flush.  Delivery happens at flush boundaries (buffer full,
             checkpoint/restore, observer change, end of run, or an
@@ -183,7 +165,6 @@ class Machine:
                  scheduler: Optional[Scheduler] = None,
                  observers: Sequence[MachineObserver] = (),
                  record_schedule: bool = False,
-                 predecoded: bool = True,
                  batch_size: int = DEFAULT_BATCH_SIZE,
                  memmodel: "MemoryModel | str | None" = None) -> None:
         if not threads:
@@ -265,12 +246,9 @@ class Machine:
         #: status-transition sites (memory is fully allocated by now, so
         #: the pre-decode pass may bake its length)
         self._runnable_ids: List[int] = [t.tid for t in self.threads]
-        self.predecoded = predecoded
-        #: the pre-decoded step table (None for the legacy engine and
-        #: while the machine is stopped)
+        #: the pre-decoded step table (None while the machine is stopped)
         self._table: Optional[List] = None
-        if predecoded:
-            self._step_table()
+        self._step_table()
 
         # schedulers that inspect machine state (the conflict-directed
         # fuzzing scheduler) bind here; plain schedulers have no hook
@@ -332,14 +310,15 @@ class Machine:
                 sink(batch)
 
     def _emit(self, kind: int, thread: ThreadState, instr, addr: int = -1,
-              value: int = 0, taken: bool = False, target: int = -1) -> None:
+              value: int = 0) -> None:
+        """Stage one event at ``thread``'s pc (the closures' cold paths)."""
         seq = self.seq
         self.seq = seq + 1
         rows = self._emit_state[kind].batch
         if rows is not None:
             rows.append((kind, seq, thread.tid, thread.pc,
                          instr.loc if instr is not None else -1,
-                         addr, value, taken, target))
+                         addr, value, False, -1))
             if len(rows) >= self._batch_capacity:
                 self.flush_events()
 
@@ -394,7 +373,7 @@ class Machine:
         while model.pending(tid):
             self._drain_commit(tid)
 
-    # -- status transitions (shared by both step engines) ---------------------
+    # -- status transitions ---------------------------------------------------
 
     def _block(self, thread: ThreadState, addr: int) -> None:
         thread.status = BLOCKED
@@ -431,21 +410,6 @@ class Machine:
 
     # -- execution ------------------------------------------------------------
 
-    def _runnable(self) -> List[int]:
-        runnable = [t.tid for t in self.threads if t.status == RUNNABLE]
-        model = self.memmodel
-        if not model.never_pending:
-            # drain ids are all > thread ids, so the list stays sorted
-            base = self._drain_base
-            runnable.extend(base + t.tid for t in self.threads
-                            if model.pending(t.tid))
-        return runnable
-
-    def _value(self, thread: ThreadState, operand) -> int:
-        if isinstance(operand, Imm):
-            return operand.value
-        return thread.regs[operand.index]
-
     def _crash(self, thread: ThreadState, instr, reason: str) -> None:
         self.crashes.append(CrashRecord(
             tid=thread.tid, pc=thread.pc, loc=instr.loc if instr else -1,
@@ -453,13 +417,6 @@ class Machine:
         self._emit(EV_CRASH, thread, instr)
         thread.status = CRASHED
         self._runnable_ids.remove(thread.tid)
-
-    def _check_addr(self, thread: ThreadState, instr, addr: int) -> bool:
-        if 0 <= addr < len(self.memory):
-            return True
-        self._crash(thread, instr,
-                    f"memory fault: address {addr} out of range")
-        return False
 
     def _finish_run(self) -> bool:
         if any(t.status in (BLOCKED, WAITING) for t in self.threads):
@@ -480,12 +437,8 @@ class Machine:
 
     def step(self) -> bool:
         """Retire (at most) one instruction; return False when stopped."""
-        if self.predecoded:
-            return self._predecoded_step()
-        return self._legacy_step()
-
-    def _predecoded_step(self) -> bool:
-        """One step through the pre-decoded table."""
+        if self.status != MachineStatus.RUNNING:
+            return False
         runnable = self._runnable_ids
         if not runnable:
             return self._finish_run()
@@ -495,142 +448,11 @@ class Machine:
         self._current = tid
         if tid >= self._drain_base:
             self._drain_commit(tid - self._drain_base)
-            return self._post_step(tid)
-        thread = self.threads[tid]
-        if self._step_table()[thread.pc](thread):
             self.steps += 1
-        if self.record_schedule:
-            self.recorded_schedule.append(tid)
-        return True
-
-    def _legacy_step(self) -> bool:
-        """One step through the legacy if/elif interpreter, the
-        differential reference."""
-        runnable = self._runnable()
-        if not runnable:
-            return self._finish_run()
-
-        tid = self.scheduler.pick(runnable, self._current)
-        if tid not in runnable:
-            raise RuntimeError(f"scheduler picked non-runnable thread {tid}")
-        self._current = tid
-        if tid >= self._drain_base:
-            # a virtual drain processor: commit one buffered store
-            self._drain_commit(tid - self._drain_base)
-            return self._post_step(tid)
-        thread = self.threads[tid]
-        instr = self.program.code[thread.pc]
-        cls = type(instr)
-
-        if cls is Alu:
-            a = self._value(thread, instr.src1)
-            b = self._value(thread, instr.src2)
-            result = evaluate_alu(instr.op, a, b)
-            thread.regs[instr.dest.index] = result
-            self._emit(EV_ALU, thread, instr, value=result)
-            thread.pc += 1
-        elif cls is Load:
-            addr = self._value(thread, instr.addr)
-            if not self._check_addr(thread, instr, addr):
-                return self._post_step(tid)
-            value = self.memmodel.load(tid, addr)
-            thread.regs[instr.dest.index] = value
-            self._emit(EV_LOAD, thread, instr, addr=addr, value=value)
-            thread.pc += 1
-        elif cls is Store:
-            addr = self._value(thread, instr.addr)
-            if not self._check_addr(thread, instr, addr):
-                return self._post_step(tid)
-            value = self._value(thread, instr.src)
-            if self.memmodel.store(tid, addr, value, thread.pc, instr):
-                self._emit(EV_STORE, thread, instr, addr=addr, value=value)
-            else:
-                self._store_buffered(tid)
-            thread.pc += 1
-        elif cls is Branch:
-            cond = thread.regs[instr.cond.index]
-            taken = cond == 0  # branch-if-false
-            self._emit(EV_BRANCH, thread, instr, value=cond, taken=taken,
-                       target=instr.target)
-            thread.pc = instr.target if taken else thread.pc + 1
-        elif cls is Jump:
-            self._emit(EV_JUMP, thread, instr, taken=True, target=instr.target)
-            thread.pc = instr.target
-        elif cls is Acquire:
-            addr = instr.addr.value
-            model = self.memmodel
-            if not model.never_pending:
-                self._fence(thread)  # lock ops are fencing RMWs
-            if model.try_acquire(tid, addr):
-                self._emit(EV_ACQUIRE, thread, instr, addr=addr)
-                thread.pc += 1
-            else:
-                self._block(thread, addr)
-                return self._post_step(tid, retired=False)
-        elif cls is Release:
-            addr = instr.addr.value
-            model = self.memmodel
-            if not model.never_pending:
-                self._fence(thread)
-            model.release(tid, addr)
-            self._emit(EV_RELEASE, thread, instr, addr=addr)
-            thread.pc += 1
-            self._wake_blocked(addr)
-        elif cls is Wait:
-            addr = instr.addr.value
-            model = self.memmodel
-            if not model.never_pending:
-                self._fence(thread)
-            if thread.reacquiring:
-                # woken: re-acquire the lock before continuing
-                if model.try_acquire(tid, addr):
-                    thread.reacquiring = False
-                    self._emit(EV_ACQUIRE, thread, instr, addr=addr)
-                    thread.pc += 1
-                else:
-                    self._block(thread, addr)
-                    return self._post_step(tid, retired=False)
-            elif model.peek(addr) != tid + 1:
-                self._crash(thread, instr,
-                            "wait on a lock the thread does not hold")
-            else:
-                # atomically release and sleep
-                model.release(tid, addr)
-                self._emit(EV_WAIT, thread, instr, addr=addr)
-                self._sleep_on(thread, addr)
-        elif cls is Notify or cls is NotifyAll:
-            addr = instr.addr.value
-            self._emit(EV_NOTIFY, thread, instr, addr=addr)
-            queue = self.wait_queues.get(addr)
-            if queue:
-                wake = len(queue) if cls is NotifyAll else 1
-                for _ in range(wake):
-                    self._wake_one_waiter(queue)
-            thread.pc += 1
-        elif cls is Assert:
-            value = self._value(thread, instr.cond)
-            if value == 0:
-                loc = self.program.loc_of(instr)
-                text = f" ({loc})" if loc else ""
-                self._crash(thread, instr, f"assertion failed{text}")
-            else:
-                thread.pc += 1
-        elif cls is Output:
-            value = self._value(thread, instr.src)
-            self.output.append((tid, value))
-            self._emit(EV_OUTPUT, thread, instr, value=value)
-            thread.pc += 1
-        elif cls is Halt:
-            self._emit(EV_HALT, thread, instr)
-            self._halt(thread)
-        else:  # pragma: no cover - all ISA classes handled above
-            raise TypeError(f"unknown instruction {instr!r}")
-
-        return self._post_step(tid)
-
-    def _post_step(self, tid: int, retired: bool = True) -> bool:
-        if retired:
-            self.steps += 1
+        else:
+            thread = self.threads[tid]
+            if self._step_table()[thread.pc](thread):
+                self.steps += 1
         if self.record_schedule:
             self.recorded_schedule.append(tid)
         return True
@@ -649,20 +471,14 @@ class Machine:
 
         Unlike :meth:`run` this does not finalize a run that reached
         ``stop``, so a host can drive one run in chunks and end it with
-        :meth:`run`.  The pre-decoded hot loop hoists everything
-        loop-invariant into locals.  All referenced containers
-        (runnable set, schedule list, step table) are mutated in place
-        machine-wide, so the hoisted bindings stay live across
-        blocking, crashes and checkpoint/restore within the run."""
+        :meth:`run`.  The hot loop hoists everything loop-invariant
+        into locals.  All referenced containers (runnable set, schedule
+        list, step table) are mutated in place machine-wide, so the
+        hoisted bindings stay live across blocking, crashes and
+        checkpoint/restore within the run."""
         running = MachineStatus.RUNNING
         if self.status != running:
             return False
-        if not self.predecoded:
-            step = self._legacy_step
-            while self.status == running and (stop is None
-                                              or self.steps < stop):
-                step()
-            return self.status == running
         table = self._step_table()
         threads = self.threads
         runnable = self._runnable_ids

@@ -25,19 +25,19 @@ Specializations compiled here:
   the captured ``_KindEmit`` entry decides whether the kind is staged
   at all, with no helper frame.
 * Cold instructions (Wait/Notify/Assert/Output/Halt and every crash
-  path) route through the machine's shared helpers so blocking,
-  wait-queue and crash behaviour is *the same object code* the legacy
-  interpreter runs.
+  path) route through the machine's helpers (``_emit``, ``_crash``,
+  ``_block``, ``_sleep_on``, ...), which keep the runnable set and the
+  wait queues.
 
 Every closure returns True when the instruction retired and False when
 the thread blocked without retiring (failed Acquire, failed Wait
-re-acquire) -- the same distinction the legacy ``_post_step`` makes.
+re-acquire); the machine counts a step only for the former.
 
-Determinism contract: for any program, schedule and observer set, a
-pre-decoded machine produces byte-identical event streams, recorded
-schedules, output, crash records and checkpoints to the legacy
-interpreter (enforced by ``tests/integration/
-test_differential_interpreters.py``).
+Determinism contract: for a given program, schedule, memory model and
+observer set, the event stream, recorded schedule, output, crash
+records and final memory are pinned by golden digests
+(``tests/golden/delivery_fingerprints.json``, checked by
+``tests/integration/test_differential_batching.py``).
 """
 
 from __future__ import annotations
@@ -66,9 +66,7 @@ def compile_table(m) -> List[StepFn]:
     inline direct ``memory[addr]`` accesses -- the original, floor-gated
     fast path.  Any other model swaps in the ``_MODEL_MAKERS`` variants
     for Load/Store/Acquire/Release/Wait, which route visibility through
-    the model and fence/buffer via the machine's shared drain helpers --
-    the same object code the legacy interpreter runs, keeping the two
-    engines byte-identical under every model.
+    the model and fence/buffer via the machine's drain helpers.
     """
     makers = _MAKERS
     if not m.memmodel.inline_strict:
@@ -588,13 +586,11 @@ _MAKERS = {
 
 # -- model-routed variants (non-inline_strict memory models) -------------------
 #
-# These mirror the legacy interpreter arms line for line: visibility
-# goes through the machine's memory model, stores may buffer instead of
-# publishing, and lock operations fence first.  Emission routes through
-# ``m._emit`` -- the exact code path the legacy engine takes -- so
-# byte-identity between the two engines holds under TSO by construction
-# rather than by duplicated inlining.  Relaxed modes have no perf floor;
-# only the strict makers above are BENCH_interp-gated.
+# Visibility goes through the machine's memory model, stores may buffer
+# instead of publishing, and lock operations fence first.  Emission
+# routes through ``m._emit`` rather than inlined staging.  Relaxed
+# modes have no perf floor; only the strict makers above are
+# BENCH_interp-gated.
 
 
 def _make_load_model(m, instr: Load, pc: int) -> StepFn:

@@ -8,10 +8,11 @@ import pytest
 from repro.engine import DetectorEngine
 from repro.lang import compile_source
 from repro.machine import (
-    EV_ACQUIRE, EV_LOAD, EV_RELEASE, EV_STORE, Machine, MachineStatus,
+    EV_ACQUIRE, EV_RELEASE, Machine, MachineObserver, MachineStatus,
     RandomScheduler, ReplayScheduler, RoundRobinScheduler, SerialScheduler,
 )
 from repro.trace import TraceRecorder
+from repro.workloads import apache_log
 from tests.conftest import COUNTER_LOCKED, COUNTER_RACE, run_program
 
 
@@ -228,13 +229,12 @@ class TestStoppedMachine:
                        scheduler=RandomScheduler(seed=3, switch_prob=0.4),
                        **kwargs)
 
-    @pytest.mark.parametrize("predecoded", [True, False])
     @pytest.mark.parametrize("max_steps,status", [
         (None, MachineStatus.FINISHED), (100, MachineStatus.STEP_LIMIT)])
     def test_freed_without_the_cyclic_collector(
-            self, no_cyclic_collector, predecoded, max_steps, status):
+            self, no_cyclic_collector, max_steps, status):
         recorder = TraceRecorder(compile_source(COUNTER_LOCKED), 2)
-        machine = self._machine(observers=[recorder], predecoded=predecoded)
+        machine = self._machine(observers=[recorder])
         assert machine.run(max_steps=max_steps) == status
         refs = [weakref.ref(machine), weakref.ref(recorder)]
         del machine, recorder
@@ -252,6 +252,37 @@ class TestStoppedMachine:
                 weakref.ref(result.detector("frd"))]
         del machine, engine, result
         assert [ref() for ref in refs] == [None, None, None]
+
+    def test_step_on_a_stopped_machine_does_nothing(self):
+        """``step()`` on a stopped machine returns False without picking
+        a thread, retiring a step, staging an event or compiling the
+        step table again; a restored machine steps again."""
+
+        class Counter(MachineObserver):
+            events = 0
+
+            def consume_batch(self, batch):
+                self.events += batch.count
+
+        counter = Counter()
+        machine = apache_log(writers=3, requests=12).make_machine(
+            RandomScheduler(seed=3), observers=[counter])
+        snap = machine.checkpoint()
+        assert machine.run(max_steps=50) == MachineStatus.STEP_LIMIT
+        seq, events = machine.seq, counter.events
+        assert events == seq
+        for _ in range(5):
+            assert machine.step() is False
+        assert (machine.steps, machine.seq) == (50, seq)
+        assert machine._table is None
+        assert machine._batch_rows == []
+        assert machine.run() == MachineStatus.STEP_LIMIT
+        assert machine.steps == 50
+        assert counter.events == events
+        machine.restore(snap)
+        assert machine.step() is True
+        assert machine.steps == 1
+        assert machine._table is not None
 
     @pytest.mark.parametrize("max_steps", [None, 120])
     def test_restore_on_a_stopped_machine_runs_on(self, max_steps):

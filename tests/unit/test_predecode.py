@@ -4,10 +4,12 @@ import pytest
 
 from repro.lang import compile_source
 from repro.machine import (
-    EV_ALU, EV_BRANCH, EV_LOAD, EV_STORE, Machine, MachineObserver,
-    MachineStatus, RandomScheduler, RoundRobinScheduler, SerialScheduler,
-    compile_table,
+    EV_ALU, EV_LOAD, EV_STORE, Machine, MachineObserver, MachineStatus,
+    RandomScheduler, RoundRobinScheduler, SerialScheduler, compile_table,
+    resolve_model,
 )
+from repro.machine.machine import RUNNABLE
+from repro.workloads import WORKLOADS
 from tests.conftest import COUNTER_LOCKED, COUNTER_RACE
 
 
@@ -34,13 +36,12 @@ def _machine(source, threads, **kwargs):
 
 
 class TestPredecodedEngine:
-    def test_default_is_predecoded(self):
+    def test_table_built_at_construction(self):
         m = _machine("shared int x; thread t() { x = 1; }", [("t", ())])
-        assert m.predecoded
         assert len(m._table) == len(m.program.code)
 
     def test_table_covers_every_pc(self):
-        m = _machine(COUNTER_LOCKED, [("worker", (3,))], predecoded=False)
+        m = _machine(COUNTER_LOCKED, [("worker", (3,))])
         table = compile_table(m)
         assert len(table) == len(m.program.code)
         assert all(callable(fn) for fn in table)
@@ -136,18 +137,16 @@ class TestKindMaskedEmission:
         assert second.events
         assert second.events[0][1] == 10  # seq continues, no overlap
 
-    def test_legacy_engine_masks_identically(self):
-        masked_legacy = _Capture(interests=[EV_BRANCH])
-        m1 = _machine(COUNTER_RACE, [("worker", (4,))],
-                      observers=[masked_legacy],
-                      scheduler=SerialScheduler(), predecoded=False)
-        m1.run(max_steps=100_000)
-        masked_pre = _Capture(interests=[EV_BRANCH])
-        m2 = _machine(COUNTER_RACE, [("worker", (4,))],
-                      observers=[masked_pre],
-                      scheduler=SerialScheduler(), predecoded=True)
-        m2.run(max_steps=100_000)
-        assert masked_legacy.events == masked_pre.events
+
+def _scan_runnable(m):
+    """The O(threads) reference for the incrementally kept runnable set:
+    runnable thread ids, then the drain id of every thread whose store
+    buffer is pending (drain ids are all above thread ids, so the list
+    stays sorted)."""
+    runnable = [t.tid for t in m.threads if t.status == RUNNABLE]
+    runnable.extend(m._drain_base + t.tid for t in m.threads
+                    if m.memmodel.pending(t.tid))
+    return runnable
 
 
 class TestIncrementalRunnableSet:
@@ -156,7 +155,7 @@ class TestIncrementalRunnableSet:
                                       ("worker", (6,))],
                      scheduler=RoundRobinScheduler(quantum=3))
         while m.status == MachineStatus.RUNNING:
-            assert m._runnable_ids == m._runnable()
+            assert m._runnable_ids == _scan_runnable(m)
             m.step()
         assert m._runnable_ids == []
 
@@ -166,6 +165,33 @@ class TestIncrementalRunnableSet:
         m.run(max_steps=100_000)
         assert m._runnable_ids == []
         m.restore(snapshot)
-        assert m._runnable_ids == m._runnable()
+        assert m._runnable_ids == _scan_runnable(m)
         assert m.run(max_steps=100_000) == MachineStatus.FINISHED
         assert m.read_global("counter") == 20
+
+    @pytest.mark.parametrize("name", ["txn-bank", "spsc-ring", "apache"])
+    def test_drain_ids_match_scan_under_tso(self, name):
+        """Store-buffer drain processors enter and leave the set as
+        buffers fill and empty, through a checkpoint/restore."""
+        m = WORKLOADS[name]().make_machine(
+            RandomScheduler(seed=7, switch_prob=0.3),
+            memmodel=resolve_model("tso", 7))
+        drain_base = m._drain_base
+        snapshot = None
+        drain_picks = 0
+
+        def run_to(stop):
+            nonlocal snapshot, drain_picks
+            while m.status == MachineStatus.RUNNING and m.steps < stop:
+                runnable = m._runnable_ids
+                assert runnable == _scan_runnable(m), m.steps
+                drain_picks += any(tid >= drain_base for tid in runnable)
+                m.step()
+                if snapshot is None and m.steps == 300:
+                    snapshot = m.checkpoint()
+
+        run_to(6_000)
+        m.restore(snapshot)
+        assert m._runnable_ids == _scan_runnable(m)
+        run_to(6_000)
+        assert drain_picks > 0
