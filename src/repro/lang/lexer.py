@@ -69,10 +69,12 @@ def tokenize(source: str) -> List[Token]:
                 raise LexError("unterminated block comment", start_line, start_col)
             advance(2)
             continue
-        if ch.isdigit():
+        # ASCII digits only: ``str.isdigit`` also accepts ``²`` and the
+        # digits of other scripts, which ``int`` refuses or reads
+        if "0" <= ch <= "9":
             start = i
             start_line, start_col = line, col
-            while i < n and source[i].isdigit():
+            while i < n and "0" <= source[i] <= "9":
                 advance(1)
             if i < n and (source[i].isalpha() or source[i] == "_"):
                 raise LexError(

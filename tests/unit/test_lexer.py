@@ -122,6 +122,17 @@ class TestErrors:
         with pytest.raises(LexError):
             tokenize("12abc")
 
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "\U0001d7d8"],
+                             ids=["superscript-two", "arabic-indic-three",
+                                  "double-struck-zero"])
+    def test_non_ascii_digit_is_not_a_number(self, digit):
+        """Literals are decimal: ``str.isdigit`` accepts these, and
+        ``int`` either refuses them or reads them as ASCII digits."""
+        for source in (f"x = {digit};", f"x = 1{digit};"):
+            with pytest.raises(LexError) as exc:
+                tokenize(source)
+            assert "unexpected character" in str(exc.value)
+
     def test_error_reports_position(self):
         with pytest.raises(LexError) as exc:
             tokenize("ok\n  @")
