@@ -9,8 +9,11 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.cli.lifecycle import (Outcome, Row, UsageError,
                                  add_consistency_flags, add_db_flag,
-                                 add_obs_flags, obs_requested,
-                                 parse_detectors, parse_workloads, status_of)
+                                 add_obs_flags, non_negative_float,
+                                 non_negative_int, obs_requested,
+                                 parse_detectors, parse_workloads,
+                                 positive_float, positive_int, probability,
+                                 status_of)
 
 
 def _add_matrix_flags(parser: argparse.ArgumentParser) -> None:
@@ -23,19 +26,20 @@ def _add_matrix_flags(parser: argparse.ArgumentParser) -> None:
                         help="comma-separated detector configs "
                         "(default, block4, all-blocks, no-addr-deps, "
                         "no-ctrl-deps, cut-at-wait)")
-    parser.add_argument("--seeds", type=int, default=8,
+    parser.add_argument("--seeds", type=positive_int, default=8,
                         help="seeded segments per (workload, config) cell")
     parser.add_argument("--master-seed", type=int, default=0)
-    parser.add_argument("--switch-prob", type=float, default=0.3)
+    parser.add_argument("--switch-prob", type=probability, default=0.3)
     parser.add_argument("--max-steps", type=int, default=400_000)
-    parser.add_argument("--timeout", type=float, default=None,
+    parser.add_argument("--timeout", type=positive_float, default=None,
                         help="per-run wall-clock limit in seconds "
                         "(parallel mode); a hung run becomes one "
                         "timeout result")
-    parser.add_argument("--retries", type=int, default=0,
+    parser.add_argument("--retries", type=non_negative_int, default=0,
                         help="re-dispatch a crashed/timed-out run up to N "
                         "times before recording the failure")
-    parser.add_argument("--retry-backoff", type=float, default=0.0,
+    parser.add_argument("--retry-backoff", type=non_negative_float,
+                        default=0.0,
                         help="seconds before retry k runs (scaled by k)")
     parser.add_argument("--no-frd", action="store_true",
                         help="skip the FRD comparison pass")
@@ -49,7 +53,7 @@ def register(sub) -> None:
     camp = sub.add_parser(
         "campaign", help="parallel (workload, seed, config) sweep")
     _add_matrix_flags(camp)
-    camp.add_argument("-j", "--workers", type=int, default=1,
+    camp.add_argument("-j", "--workers", type=positive_int, default=1,
                       help="worker processes (1 = serial in-process)")
     camp.add_argument("--budget", type=float, default=None,
                       help="campaign wall-clock budget in seconds; "
@@ -96,7 +100,8 @@ def register(sub) -> None:
 
     splan = shsub.add_parser(
         "plan", help="write an N-shard plan for a campaign matrix")
-    splan.add_argument("--shards", type=int, required=True, metavar="N",
+    splan.add_argument("--shards", type=positive_int, required=True,
+                       metavar="N",
                        help="number of shards to split the matrix into")
     splan.add_argument("--out", required=True, metavar="DIR",
                        help="plan directory (one subdirectory per shard)")
@@ -111,7 +116,7 @@ def register(sub) -> None:
         "resumes from the journal)")
     srun.add_argument("shard_dir", help="a shard directory written by "
                       "`repro shard plan`")
-    srun.add_argument("-j", "--workers", type=int, default=1,
+    srun.add_argument("-j", "--workers", type=positive_int, default=1,
                       help="worker processes for this shard")
     srun.add_argument("--budget", type=float, default=None,
                       help="shard wall-clock budget in seconds")
@@ -138,7 +143,7 @@ def register(sub) -> None:
         "drive", help="run every shard as a local subprocess, then "
         "merge (the single-host multi-process backend)")
     sdrive.add_argument("plan_dir", help="the plan directory")
-    sdrive.add_argument("-j", "--workers", type=int, default=1,
+    sdrive.add_argument("-j", "--workers", type=positive_int, default=1,
                         help="worker processes per shard subprocess")
     sdrive.add_argument("--table2", action="store_true")
     sdrive.add_argument("--metrics-out", default=None, metavar="PATH",

@@ -28,7 +28,7 @@ import signal
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import repro.obs as obs
 
@@ -244,6 +244,43 @@ class Invocation:
             violation_fingerprints=outcome.fingerprints,
             heartbeat=heartbeat, **row.seeds)
         print(f"recorded {row.kind} {run_id} in {path}", file=sys.stderr)
+
+
+# -- shared argument types ---------------------------------------------------
+# A value out of range is argparse's usage error (exit 2) at parse time,
+# before any command opens a heartbeat, journal or results-DB row.
+
+def _checked(kind: Callable[[str], Any], text: str,
+             accept: Callable[[Any], bool], wanted: str) -> Any:
+    try:
+        value = kind(text)
+        if accept(value):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be {wanted}, got {text!r}")
+
+
+def probability(text: str) -> float:
+    """``--switch-prob``: the scheduler's per-step switch chance."""
+    return _checked(float, text, lambda v: 0.0 < v <= 1.0, "in (0, 1]")
+
+
+def positive_int(text: str) -> int:
+    return _checked(int, text, lambda v: v >= 1, "a positive integer")
+
+
+def non_negative_int(text: str) -> int:
+    return _checked(int, text, lambda v: v >= 0, "a non-negative integer")
+
+
+def positive_float(text: str) -> float:
+    return _checked(float, text, lambda v: v > 0.0, "a positive number")
+
+
+def non_negative_float(text: str) -> float:
+    return _checked(float, text, lambda v: v >= 0.0,
+                    "a non-negative number")
 
 
 # -- shared flags ------------------------------------------------------------

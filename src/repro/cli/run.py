@@ -9,7 +9,8 @@ import repro.obs as obs
 from repro.cli.lifecycle import (Outcome, Row, UsageError,
                                  add_consistency_flags, add_db_flag,
                                  add_obs_flags, load_fault_plan,
-                                 load_program, parse_detectors, status_of)
+                                 load_program, parse_detectors, probability,
+                                 status_of)
 from repro.core import OnlineSVD
 from repro.engine import DetectorEngine, available
 from repro.harness import measure_overhead, render_table
@@ -31,7 +32,7 @@ def register(sub) -> None:
     run = sub.add_parser("run", help="run a bundled workload")
     run.add_argument("workload", choices=sorted(WORKLOADS))
     run.add_argument("--seed", type=int, default=0)
-    run.add_argument("--switch-prob", type=float, default=0.4)
+    run.add_argument("--switch-prob", type=probability, default=0.4)
     run.add_argument("--fixed", action="store_true",
                      help="use the patched variant where one exists")
     run.add_argument("--detector", default="svd",
@@ -60,7 +61,7 @@ def register(sub) -> None:
                          metavar="NAME[:ARG,ARG...]",
                          help="thread instance to run (repeatable)")
     execute.add_argument("--seed", type=int, default=0)
-    execute.add_argument("--switch-prob", type=float, default=0.4)
+    execute.add_argument("--switch-prob", type=probability, default=0.4)
     execute.add_argument("--svd", action="store_true",
                          help="attach the online detector")
     execute.add_argument("--save-trace", metavar="PATH",

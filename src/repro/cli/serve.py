@@ -7,7 +7,8 @@ import sys
 from repro.cli.lifecycle import (Outcome, Row, UsageError,
                                  add_consistency_flags, add_db_flag,
                                  add_obs_flags, load_fault_plan,
-                                 parse_detectors, parse_workloads)
+                                 parse_detectors, parse_workloads,
+                                 probability)
 
 
 def register(sub) -> None:
@@ -21,7 +22,7 @@ def register(sub) -> None:
     serve.add_argument("--concurrency", type=int, default=4,
                        help="executions in flight at once (default: 4)")
     serve.add_argument("--master-seed", type=int, default=0)
-    serve.add_argument("--switch-prob", type=float, default=0.3)
+    serve.add_argument("--switch-prob", type=probability, default=0.3)
     serve.add_argument("--max-steps", type=int, default=20_000,
                        help="per-execution step cap (default: 20000)")
     serve.add_argument("--detectors", default=None, metavar="NAMES",
