@@ -173,8 +173,11 @@ def test_sharded_campaign_throughput_and_rss(tmp_path, emit_result):
     # have interpreted the identical stream
     assert single_events == best_events, (single_events, best_events)
 
-    # untimed warm-up: forked workers then inherit every import and
-    # first compile instead of paying for them inside the timed run
+    # untimed warm-up: the timed run's forked workers inherit the
+    # parent's imports instead of paying for them.  They do not inherit
+    # compiles: each worker keeps the workloads it builds, and the
+    # warm-up's die with its workers, so every timed worker compiles
+    # each program once itself
     _run_pool(POOL_WORKERS)
     pool_events, pool_seconds = _run_pool(POOL_WORKERS)
     serial_events, serial_seconds = _run_pool(1)

@@ -37,6 +37,7 @@ from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.harness.heartbeat import CampaignHeartbeat
+    from repro.workloads.base import Workload
 
 import repro.obs as obs
 from repro.core.online import SvdConfig
@@ -95,7 +96,9 @@ NAMED_CONFIGS: Dict[str, Callable[[], ConfigSpec]] = {
 class WorkloadSpec:
     """A workload axis entry: a registry name, or any importable factory
     given as ``"package.module:callable"`` (what lets tests inject
-    failing workloads and keeps tasks picklable under spawn)."""
+    failing workloads and keeps tasks picklable under spawn).
+    ``kwargs`` must be JSON-safe: they are part of the spec's identity
+    (:meth:`to_json`)."""
 
     name: str
     factory: Optional[str] = None
@@ -111,6 +114,13 @@ class WorkloadSpec:
             from repro.workloads import WORKLOADS
             fn = WORKLOADS[self.name]
         return fn(**self.kwargs)
+
+    def to_json(self) -> Dict[str, Any]:
+        """The spec's identity as a JSON-safe document: what a journal
+        fingerprints, a shard plan stores and a worker keys the
+        workloads it has built by."""
+        return {"name": self.name, "factory": self.factory,
+                "kwargs": dict(self.kwargs)}
 
 
 @dataclass
@@ -269,9 +279,14 @@ class CampaignResult:
         )
 
 
-def execute_task(task: CampaignTask) -> CampaignResult:
+def execute_task(task: CampaignTask,
+                 workloads: Dict[str, "Workload"]) -> CampaignResult:
     """Run one matrix cell; any failure becomes an ``error`` result so a
-    broken workload never takes the campaign down with it."""
+    broken workload never takes the campaign down with it.
+
+    ``workloads`` holds the workloads this process has already built,
+    keyed by their spec's canonical JSON (see :class:`TaskRunner`); a
+    task whose workload is missing builds it and adds it."""
     try:
         if task.obs:
             # a fresh registry per task: the snapshot rides the result
@@ -279,10 +294,10 @@ def execute_task(task: CampaignTask) -> CampaignResult:
             with obs.metrics_scope() as registry, \
                     obs.span("campaign.task", workload=task.workload.name,
                              config=task.config.name, seed=task.seed_index):
-                result = _run_task(task)
+                result = _run_task(task, workloads)
             snapshot = registry.snapshot()
         else:
-            result = _run_task(task)
+            result = _run_task(task, workloads)
             snapshot = None
         extra = {name: metrics
                  for name, metrics in result.metrics.items()
@@ -314,8 +329,14 @@ def execute_task(task: CampaignTask) -> CampaignResult:
         return failed_result(task, "error", traceback.format_exc())
 
 
-def _run_task(task: CampaignTask):
-    workload = task.workload.build()
+def _run_task(task: CampaignTask, workloads: Dict[str, "Workload"]):
+    # a workload compiles its program on first use and keeps it, so
+    # reusing the workload reuses the compile; a build that raises
+    # stores nothing, and the next task of that spec tries again
+    key = json.dumps(task.workload.to_json(), sort_keys=True)
+    workload = workloads.get(key)
+    if workload is None:
+        workload = workloads[key] = task.workload.build()
     config = task.config
     model_seed = (config.model_seed if config.model_seed is not None
                   else task.seed)
@@ -327,6 +348,23 @@ def _run_task(task: CampaignTask):
                         detectors=config.detectors,
                         consistency=config.consistency,
                         model_seed=model_seed)
+
+
+class TaskRunner:
+    """The pool's runner for campaign tasks: it owns the workloads its
+    process has built, so each program compiles once per process and
+    campaign rather than once per task.
+
+    :func:`run_campaign` creates one per campaign; the pool gives every
+    worker process its own copy (forked, or unpickled under spawn) and
+    the serial path calls the caller's, so nothing is shared between
+    processes or outlives the campaign."""
+
+    def __init__(self) -> None:
+        self.workloads: Dict[str, "Workload"] = {}
+
+    def __call__(self, task: CampaignTask) -> CampaignResult:
+        return execute_task(task, self.workloads)
 
 
 def failed_result(task: CampaignTask, status: str,
@@ -710,7 +748,7 @@ def run_campaign(spec: CampaignSpec, workers: int = 1,
                     results.append(result)
             if done:
                 pending = [t for t in tasks if t.index not in done]
-        parallel_map(execute_task, pending, workers=workers,
+        parallel_map(TaskRunner(), pending, workers=workers,
                      timeout=spec.task_timeout, budget=budget,
                      on_outcome=on_outcome, retries=spec.task_retries,
                      retry_backoff=spec.retry_backoff, monitor=monitor)

@@ -59,8 +59,7 @@ class JournalError(ValueError):
 def spec_fingerprint(spec: "CampaignSpec") -> str:
     """SHA-256 over the canonical JSON of the spec's matrix identity."""
     identity = {
-        "workloads": [{"name": w.name, "factory": w.factory,
-                       "kwargs": w.kwargs} for w in spec.workloads],
+        "workloads": [w.to_json() for w in spec.workloads],
         "configs": [asdict(c) for c in spec.configs],
         "seeds": spec.seeds,
         "master_seed": spec.master_seed,

@@ -43,7 +43,6 @@ is also the reference behaviour parallel runs must reproduce.
 
 from __future__ import annotations
 
-import importlib
 import multiprocessing
 import os
 import signal
@@ -96,21 +95,7 @@ _STDERR_TAIL_BYTES = 4096
 _POLL_SECONDS = 0.05
 
 
-def resolve_runner(path: str) -> Callable[[Any], Any]:
-    """Import ``"package.module:function"`` -- the form workers use so
-    tasks stay picklable under both fork and spawn start methods."""
-    module_name, _sep, attr = path.partition(":")
-    obj: Any = importlib.import_module(module_name)
-    for part in attr.split("."):
-        obj = getattr(obj, part)
-    return obj
-
-
-def runner_path(fn: Callable[[Any], Any]) -> str:
-    return f"{fn.__module__}:{fn.__qualname__}"
-
-
-def _worker_loop(runner_dotted: str, worker_id: int, task_queue,
+def _worker_loop(runner: Callable[[Any], Any], worker_id: int, task_queue,
                  result_queue,
                  stderr_path: Optional[str] = None,
                  fault_map: Optional[Dict[int, Any]] = None,
@@ -127,7 +112,6 @@ def _worker_loop(runner_dotted: str, worker_id: int, task_queue,
                      0o600)
         os.dup2(fd, 2)
         os.close(fd)
-    runner = resolve_runner(runner_dotted)
     while True:
         item = task_queue.get()
         if item is None:
@@ -179,12 +163,19 @@ def parallel_map(runner: Callable[[Any], Any], payloads: Sequence[Any],
                  ) -> List[Outcome]:
     """Apply ``runner`` to every payload, one task per worker at a time.
 
-    ``runner`` must be an importable module-level callable.  See the
-    module docstring for outcome semantics.  ``monitor``, when given,
-    is called with a :class:`PoolStatus` snapshot on every scheduling
-    beat (each wake of the parent loop in parallel mode, at least every
-    ``_POLL_SECONDS``; around every task in serial mode); rate limiting
-    is the consumer's job.
+    ``runner`` is handed to every worker process as it is: a forked
+    worker inherits a copy and a spawned one unpickles one, so under
+    spawn it must pickle (a module-level function, or an instance of a
+    module-level class such as the campaign's
+    :class:`~repro.harness.campaign.TaskRunner`).  State the runner
+    keeps is therefore per process: each worker's copy lives as long
+    as the worker, and the serial path calls the caller's own.
+
+    See the module docstring for outcome semantics.  ``monitor``, when
+    given, is called with a :class:`PoolStatus` snapshot on every
+    scheduling beat (each wake of the parent loop in parallel mode, at
+    least every ``_POLL_SECONDS``; around every task in serial mode);
+    rate limiting is the consumer's job.
     """
     total = len(payloads)
     outcomes: List[Optional[Outcome]] = [None] * total
@@ -243,7 +234,6 @@ def parallel_map(runner: Callable[[Any], Any], payloads: Sequence[Any],
     # ``os._exit`` mid-task -- cannot lose its "start" message.  Losing
     # it would leave the consumed task unattributable and hang the pool.
     result_queue = ctx.SimpleQueue()
-    dotted = runner_path(runner)
     plan = faults.active()
     fault_map = plan.worker_fault_map() if plan is not None else {}
     next_worker_id = 0
@@ -260,7 +250,7 @@ def parallel_map(runner: Callable[[Any], Any], payloads: Sequence[Any],
         os.close(fd)
         stderr_paths[worker_id] = stderr_path
         proc = ctx.Process(target=_worker_loop,
-                           args=(dotted, worker_id, task_queue,
+                           args=(runner, worker_id, task_queue,
                                  result_queue, stderr_path,
                                  fault_map or None),
                            daemon=True)

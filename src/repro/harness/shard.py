@@ -72,8 +72,7 @@ def spec_to_json(spec: CampaignSpec) -> Dict[str, Any]:
     """The full campaign spec as a JSON-safe document (round-trips
     exactly through :func:`spec_from_json`)."""
     return {
-        "workloads": [{"name": w.name, "factory": w.factory,
-                       "kwargs": dict(w.kwargs)} for w in spec.workloads],
+        "workloads": [w.to_json() for w in spec.workloads],
         "configs": [{
             "name": c.name,
             "svd": dict(c.svd),

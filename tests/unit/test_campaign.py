@@ -1,14 +1,21 @@
 """Campaign engine tests: deterministic seed derivation, serial/parallel
-result equality, and worker-crash isolation."""
+result equality, worker-crash isolation, and each process building a
+workload once per campaign."""
 
+import multiprocessing
+import os
 import time
 
 import pytest
 
+import repro.workloads.base as workload_base
+from repro.harness import pool
 from repro.harness.campaign import (CampaignSpec, ConfigSpec, WorkloadSpec,
                                     derive_seed, execute_task, run_campaign)
 
 FAST = ConfigSpec(max_steps=30_000)
+
+COUNTING = "tests.unit.test_campaign:counting_workload"
 
 
 def failing_workload():
@@ -19,6 +26,35 @@ def failing_workload():
 def hanging_workload():
     """Injected hang: sleeps far past any per-task timeout."""
     time.sleep(600)
+
+
+def counting_workload(path, workload="stringbuffer", fail=False):
+    """Injected factory that logs each build: appends this process's
+    pid to ``path``, then builds registry workload ``workload`` (or
+    raises, with ``fail``)."""
+    with open(path, "a") as fh:
+        fh.write(f"{os.getpid()}\n")
+    if fail:
+        raise RuntimeError("injected workload failure")
+    from repro.workloads import WORKLOADS
+    return WORKLOADS[workload]()
+
+
+def builds(path):
+    """The pid of every build :func:`counting_workload` logged."""
+    if not os.path.exists(path):
+        return []
+    with open(path) as fh:
+        return [int(pid) for pid in fh.read().split()]
+
+
+def counting_spec(tmp_path, seeds=3, **kwargs):
+    return CampaignSpec(
+        workloads=[WorkloadSpec(name=name, factory=COUNTING,
+                                kwargs={"path": str(tmp_path / name),
+                                        "workload": name})
+                   for name in ("stringbuffer", "queue-region")],
+        configs=[FAST], seeds=seeds, **kwargs)
 
 
 def small_spec(seeds=3, **kwargs):
@@ -138,10 +174,23 @@ class TestCrashIsolation:
                    if r.workload == "stringbuffer"]
         assert len(healthy) == 1 and healthy[0].ok
 
+    def test_failed_build_is_not_cached(self, tmp_path):
+        path = str(tmp_path / "builds")
+        spec = CampaignSpec(
+            workloads=[WorkloadSpec(name="broken", factory=COUNTING,
+                                    kwargs={"path": path, "fail": True})],
+            configs=[FAST], seeds=3)
+        report = run_campaign(spec, workers=1)
+        assert [r.status for r in report.results] == ["error"] * 3
+        assert all("injected workload failure" in r.error
+                   for r in report.results)
+        # every task tried its own build: a failure leaves nothing to reuse
+        assert builds(path) == [os.getpid()] * 3
+
     def test_execute_task_never_raises(self):
         spec = self.spec_with_failure()
         for task in spec.tasks():
-            result = execute_task(task)
+            result = execute_task(task, {})
             assert result.status != ""  # always a result, never a raise
 
 
@@ -181,3 +230,70 @@ class TestBudget:
         skipped = [r for r in report.results if r.status == "skipped"]
         assert len(report.results) == 80
         assert len(skipped) >= 78  # the first task may sneak in
+
+
+class TestWorkloadReuse:
+    """Each process builds (and so compiles) a workload once per
+    campaign, keyed by the spec's canonical JSON."""
+
+    def test_serial_builds_each_spec_once(self, tmp_path):
+        report = run_campaign(counting_spec(tmp_path), workers=1)
+        # counted before rendering: the report's buggy map builds again
+        counts = {name: builds(str(tmp_path / name))
+                  for name in ("stringbuffer", "queue-region")}
+        assert counts == {"stringbuffer": [os.getpid()],
+                          "queue-region": [os.getpid()]}
+        assert len(report.results) == 6
+        assert all(r.ok for r in report.results)
+        assert report.render_metrics() == \
+            run_campaign(small_spec(), workers=1).render_metrics()
+
+    def test_serial_compiles_each_program_once(self, monkeypatch):
+        compiles = []
+        compile_source = workload_base.compile_source
+
+        def counting_compile(source):
+            compiles.append(source)
+            return compile_source(source)
+
+        monkeypatch.setattr(workload_base, "compile_source",
+                            counting_compile)
+        report = run_campaign(small_spec(), workers=1)
+        assert len(report.results) == 6
+        assert len(compiles) == 2
+
+    def test_parallel_builds_each_spec_at_most_once_per_pid(self, tmp_path):
+        report = run_campaign(counting_spec(tmp_path), workers=2)
+        assert all(r.ok for r in report.results)
+        for name in ("stringbuffer", "queue-region"):
+            pids = builds(str(tmp_path / name))
+            assert 1 <= len(pids) <= 2
+            assert len(set(pids)) == len(pids), (name, pids)
+            assert os.getpid() not in pids
+
+    def test_same_name_different_kwargs_build_separately(self, tmp_path):
+        spec = CampaignSpec(
+            workloads=[WorkloadSpec(name="same", factory=COUNTING,
+                                    kwargs={"path": str(tmp_path / name),
+                                            "workload": name})
+                       for name in ("stringbuffer", "queue-region")],
+            configs=[FAST], seeds=2)
+        report = run_campaign(spec, workers=1)
+        assert builds(str(tmp_path / "stringbuffer")) == [os.getpid()]
+        assert builds(str(tmp_path / "queue-region")) == [os.getpid()]
+        # one name, so the same seeds; two programs, so other runs
+        first, second = report.results[:2], report.results[2:]
+        assert [r.seed for r in first] == [r.seed for r in second]
+        assert [r.instructions for r in first] != \
+            [r.instructions for r in second]
+
+
+class TestSpawnStartMethod:
+    def test_spawned_workers_render_like_serial(self, monkeypatch):
+        serial = run_campaign(small_spec(seeds=2), workers=1)
+        monkeypatch.setattr(pool, "_pick_context",
+                            lambda: multiprocessing.get_context("spawn"))
+        spawned = run_campaign(small_spec(seeds=2), workers=2)
+        assert all(r.ok for r in spawned.results)
+        assert spawned.render_metrics() == serial.render_metrics()
+        assert spawned.render_table2() == serial.render_table2()

@@ -40,6 +40,23 @@ class TestFingerprint:
         assert spec_fingerprint(small_spec(seeds=3)) != base
         assert spec_fingerprint(small_spec(master_seed=1)) != base
 
+    def test_pinned_digests(self):
+        """Journals written by earlier releases must still resume, so
+        the digest of a fixed spec is pinned, factory and kwargs
+        included."""
+        assert spec_fingerprint(small_spec()) == (
+            "8826419861c776bb294e1a1b8cb0607c06ef26da072267cebf93c456fc54ed9c")
+        spec = CampaignSpec(
+            workloads=[WorkloadSpec(name="stringbuffer"),
+                       WorkloadSpec(
+                           name="broken",
+                           factory="tests.unit.test_campaign:"
+                           "failing_workload",
+                           kwargs={"n": 3, "path": "x"})],
+            configs=[FAST], seeds=2)
+        assert spec_fingerprint(spec) == (
+            "e60054b001f030a06cdc8feeae6a4e05e13e971ea7a0342fca50fb5bcf885589")
+
     def test_insensitive_to_execution_policy(self):
         """Timeout/retry/worker knobs must not invalidate a journal --
         resuming with a longer timeout is the whole point."""
