@@ -38,7 +38,8 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from repro.machine.events import EV_LOAD, EV_STORE, MachineObserver
 from repro.machine.memmodel import resolve_model
-from repro.machine.scheduler import RandomScheduler, Scheduler
+from repro.machine.scheduler import (RandomScheduler, Scheduler,
+                                     check_switch_prob)
 from repro.workloads.base import Workload
 
 #: profiling runs used to build the conflict map (seeds 0..N-1)
@@ -127,8 +128,7 @@ class DirectedScheduler(Scheduler):
     def __init__(self, seed: int = 0, conflict_pcs: FrozenSet[int] = frozenset(),
                  switch_prob: float = 0.4, bias: float = 0.7,
                  hold_drains: float = 0.6) -> None:
-        if not 0.0 < switch_prob <= 1.0:
-            raise ValueError("switch_prob must be in (0, 1]")
+        check_switch_prob(switch_prob)
         self.seed = seed
         self.conflict_pcs = conflict_pcs
         self.switch_prob = switch_prob

@@ -45,6 +45,7 @@ from repro.harness.pool import Outcome, parallel_map
 from repro.harness.runner import run_workload
 from repro.harness.table2 import Table2Row, aggregate_row, render_table2
 from repro.harness.render import render_table
+from repro.machine.scheduler import check_switch_prob
 from repro.metrics.classify import DetectorMetrics
 
 
@@ -66,6 +67,9 @@ class ConfigSpec:
     #: TSO store-buffer seed; None derives it from each task's schedule
     #: seed, so one number still reproduces any cell exactly
     model_seed: Optional[int] = None
+
+    def __post_init__(self) -> None:
+        check_switch_prob(self.switch_prob)
 
     def svd_config(self) -> SvdConfig:
         return SvdConfig(**self.svd)

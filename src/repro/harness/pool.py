@@ -175,8 +175,11 @@ def parallel_map(runner: Callable[[Any], Any], payloads: Sequence[Any],
     given, is called with a :class:`PoolStatus` snapshot on every
     scheduling beat (each wake of the parent loop in parallel mode, at
     least every ``_POLL_SECONDS``; around every task in serial mode);
-    rate limiting is the consumer's job.
+    rate limiting is the consumer's job.  A negative ``retries``
+    raises ValueError: it would run no attempt at all.
     """
+    if retries < 0:
+        raise ValueError(f"retries must be >= 0, got {retries}")
     total = len(payloads)
     outcomes: List[Optional[Outcome]] = [None] * total
     started = time.perf_counter()

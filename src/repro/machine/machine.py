@@ -22,9 +22,16 @@ machine with ``batch_size=1``: every emission then flushes at once.
 
 One run loop drives every live run: :meth:`Machine.advance` runs the
 hot loop up to a step bound without finalizing, and :meth:`Machine.run`
-is that loop plus the step-limit stamp and finish notifications.  Of
-the library's hosts only the BER controller, which reads its detector
-after every instruction, calls :meth:`Machine.step`.
+is that loop plus the step-limit stamp and finish notifications.  Each
+pass of the loop runs one scheduling quantum.  The scheduler's
+``pick()`` is the reference for every decision; for a scheduler that
+is exactly a :class:`~repro.machine.scheduler.RandomScheduler` the loop
+makes the same decision inline, with the same draws.  Of the library's
+hosts only the BER controller, which reads its detector after every
+instruction, calls :meth:`Machine.step`, which keeps its own
+one-decision body and always calls ``pick()``: a blocking ``Acquire``
+under TSO drains the store buffer and returns without retiring, and
+BER must read its detector after that step too.
 
 The step closures capture the machine, so the machine and its step
 table reference each other.  A machine drops the table when it stops,
@@ -42,6 +49,7 @@ from __future__ import annotations
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass
+from sys import maxsize
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
 
 import repro.faults.runtime as faults
@@ -471,41 +479,105 @@ class Machine:
 
         Unlike :meth:`run` this does not finalize a run that reached
         ``stop``, so a host can drive one run in chunks and end it with
-        :meth:`run`.  The hot loop hoists everything loop-invariant
-        into locals.  All referenced containers (runnable set, schedule
-        list, step table) are mutated in place machine-wide, so the
-        hoisted bindings stay live across blocking, crashes and
-        checkpoint/restore within the run."""
-        running = MachineStatus.RUNNING
-        if self.status != running:
+        :meth:`run`.
+
+        Each pass of the outer loop makes one switch decision and runs
+        one scheduling quantum: the inner loop steps the same thread
+        while the decision after each step stays on it, without
+        fetching the thread, storing ``_current`` or testing the drain
+        base again (a drain processor's quantum is one step).  The
+        decision is the scheduler's ``pick()``, called once per step;
+        for a scheduler that is exactly a :class:`RandomScheduler` it is
+        made inline instead, with ``pick()``'s draws in ``pick()``'s
+        order: the stay test (``current in runnable``, then one
+        ``random()``) and, on a switch, the ``getrandbits`` rejection
+        loop.  Nothing a step does changes :attr:`status`, so the loop
+        stops only at ``stop`` or when no processor is runnable.  All
+        referenced containers (runnable set, schedule list, step table)
+        are mutated in place machine-wide, so the hoisted bindings stay
+        live across blocking, crashes and checkpoint/restore."""
+        if self.status != MachineStatus.RUNNING:
             return False
         table = self._step_table()
         threads = self.threads
         runnable = self._runnable_ids
-        pick = self.scheduler.pick
         record = self.record_schedule
         schedule = self.recorded_schedule
         drain_base = self._drain_base
-        while self.status == running:
-            if stop is not None and self.steps >= stop:
-                break
-            if not runnable:
-                self._finish_run()
-                break
-            tid = pick(runnable, self._current)
-            self._current = tid
+        scheduler = self.scheduler
+        inline = type(scheduler) is RandomScheduler
+        if inline:
+            random = scheduler.random
+            getrandbits = scheduler.getrandbits
+            switch_prob = scheduler.switch_prob
+        else:
+            pick = scheduler.pick
+        bound = maxsize if stop is None else stop
+        steps = self.steps
+        tid = self._current
+        # the quantum's loop already ran this decision's stay test, and
+        # it said switch
+        switching = False
+        # a generic scheduler's answer, once its pick() ran for this
+        # decision (None: not yet)
+        picked = None
+        while steps < bound:
+            if switching:
+                stay = False
+            elif tid not in runnable:
+                stay = False
+                picked = None
+            elif inline:
+                stay = random() >= switch_prob
+            else:
+                picked = pick(runnable, tid)
+                stay = picked == tid
+            if not stay:
+                if not runnable:
+                    self._finish_run()
+                    return False
+                if inline:
+                    n = len(runnable)
+                    k = n.bit_length()
+                    r = getrandbits(k)
+                    while r >= n:
+                        r = getrandbits(k)
+                    tid = runnable[r]
+                else:
+                    if picked is None:
+                        picked = pick(runnable, tid)
+                    if picked not in runnable:
+                        raise RuntimeError(
+                            f"scheduler picked non-runnable thread {picked}")
+                    tid = picked
+                self._current = tid
+            switching = False
             if tid >= drain_base:
                 self._drain_commit(tid - drain_base)
-                self.steps += 1
+                steps += 1
+                self.steps = steps
                 if record:
                     schedule.append(tid)
                 continue
             thread = threads[tid]
-            if table[thread.pc](thread):
-                self.steps += 1
-            if record:
-                schedule.append(tid)
-        return self.status == running
+            while True:
+                if table[thread.pc](thread):
+                    steps += 1
+                    self.steps = steps
+                if record:
+                    schedule.append(tid)
+                if steps >= bound or tid not in runnable:
+                    break
+                if inline:
+                    if random() >= switch_prob:
+                        continue
+                else:
+                    picked = pick(runnable, tid)
+                    if picked == tid:
+                        continue
+                switching = True
+                break
+        return True
 
     def _notify_finish(self) -> None:
         # the step closures capture the machine: without the table,

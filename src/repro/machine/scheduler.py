@@ -6,12 +6,27 @@ construction parameters (seed, quantum, or an explicit replay trace), so
 a run can be reproduced exactly -- the substitute for the paper's
 "starting from the same simulation checkpoint ... the interleaving is
 solely determined by an initial random seed" (§6.1).
+
+:meth:`Scheduler.pick` is the reference for every decision.  The
+machine's run loop (:meth:`repro.machine.Machine.advance`) calls it
+once per step, except for a scheduler that is exactly a
+:class:`RandomScheduler`: there the loop makes :meth:`RandomScheduler.pick`'s
+decision inline from the public ``random``, ``getrandbits`` and
+``switch_prob`` attributes, with the same draws in the same order.
 """
 
 from __future__ import annotations
 
 import random
 from typing import List, Optional, Sequence
+
+
+def check_switch_prob(switch_prob: float) -> None:
+    """Raise ValueError unless ``switch_prob`` is in (0, 1] -- the
+    check every holder of a :class:`RandomScheduler` setting makes when
+    it is built, not when its first execution starts."""
+    if not 0.0 < switch_prob <= 1.0:
+        raise ValueError("switch_prob must be in (0, 1]")
 
 
 class Scheduler:
@@ -47,24 +62,42 @@ class RandomScheduler(Scheduler):
     Small ``switch_prob`` yields realistic burst interleavings (long quanta
     with occasional preemption), large values yield fine-grain shuffles
     that expose more racy windows.
+
+    :meth:`pick` is the reference implementation of the decision.
+    :meth:`Machine.advance <repro.machine.Machine.advance>` makes the
+    same decision inline, with the same draws in the same order, when
+    its scheduler is exactly this class (not a subclass), so it reads
+    three public attributes once per call:
+
+    * ``switch_prob`` -- the per-decision switch chance;
+    * ``random`` -- the seeded generator's bound ``random()``, one draw
+      per stay test;
+    * ``getrandbits`` -- its bound ``getrandbits(k)``, which a switch
+      draws with ``k = n.bit_length()`` until the value is below ``n``
+      (``n`` runnable processors): exactly the draws of
+      ``random.Random.randrange(n)``.
+
+    ``restore`` sets the generator's state in place, so the bound
+    methods stay valid across checkpoint/rollback.
     """
 
     def __init__(self, seed: int = 0, switch_prob: float = 0.05) -> None:
-        if not 0.0 < switch_prob <= 1.0:
-            raise ValueError("switch_prob must be in (0, 1]")
+        check_switch_prob(switch_prob)
         self.seed = seed
         self.switch_prob = switch_prob
         self._rng = random.Random(seed)
-        # bound methods hoisted off the per-pick path; setstate() mutates
-        # the Random object in place, so these stay valid across restore
-        self._random = self._rng.random
-        self._randrange = self._rng.randrange
+        self.random = self._rng.random
+        self.getrandbits = self._rng.getrandbits
 
     def pick(self, runnable: Sequence[int], current: Optional[int]) -> int:
-        if (current is not None and current in runnable
-                and self._random() >= self.switch_prob):
+        if current in runnable and self.random() >= self.switch_prob:
             return current
-        return runnable[self._randrange(len(runnable))]
+        n = len(runnable)
+        k = n.bit_length()
+        r = self.getrandbits(k)
+        while r >= n:
+            r = self.getrandbits(k)
+        return runnable[r]
 
     def snapshot(self):
         return self._rng.getstate()

@@ -43,7 +43,7 @@ from repro.harness.campaign import derive_seed
 from repro.harness.heartbeat import ServeHeartbeat
 from repro.harness.sampling import SegmentSampler, evenly_spaced_windows
 from repro.machine.memmodel import resolve_model
-from repro.machine.scheduler import RandomScheduler
+from repro.machine.scheduler import RandomScheduler, check_switch_prob
 from repro.serve.httpd import StatusServer
 from repro.serve.ladder import AnalysisBreaker, DegradationLadder
 from repro.serve.state import (ExecInfo, ServeTotals, ViolationFeed,
@@ -105,6 +105,7 @@ class ServeConfig:
             raise ValueError("concurrency must be >= 1")
         if self.chunk < 1:
             raise ValueError("chunk must be >= 1")
+        check_switch_prob(self.switch_prob)
 
 
 class Supervisor:

@@ -32,6 +32,16 @@ The machine has two run loops over one step table: the
 and TSO), the workloads (default and TSO), the stream-fault plan and
 the rollback cycle are also driven by ``step()`` alone and must
 reproduce the same digests.
+
+``advance`` runs a scheduling quantum per pass and, for a scheduler
+that is exactly a :class:`RandomScheduler`, draws the schedule inline
+instead of calling ``pick()``; ``step()`` always calls ``pick()``.  Two
+more arms pin that: the corpus and the workloads (default and TSO)
+driven through ``MachineDrive.advance`` in chunks of
+:data:`CHUNKS` steps, which stop the loop in the middle of a quantum
+and resume it, and a few workloads under a subclass of
+:class:`RandomScheduler`, which takes the generic ``pick()`` path of
+``advance``.  Both must reproduce the same digests.
 """
 
 import dataclasses
@@ -64,6 +74,9 @@ BATCH_SIZES = [1, 2, 7, 64, 1023, 1024, 1025]
 
 #: the reference window and the default one
 REFERENCE_SIZES = [1, DEFAULT_BATCH_SIZE]
+
+#: ``MachineDrive.advance`` chunks: one step, a few, and many quanta
+CHUNKS = [1, 7, 1000]
 
 STREAM_PLAN = FaultPlan([Fault("stream.drop", at=40),
                          Fault("stream.dup", at=90, count=2),
@@ -118,12 +131,14 @@ def _step_to(machine, stop):
 
 def _fingerprint(program, threads, scheduler, max_steps, batch_size,
                  plan=None, detectors=("svd", "frd"), consistency=None,
-                 model_seed=0, by_step=False):
+                 model_seed=0, by_step=False, chunk=None):
     """One execution with detectors attached, serialized end to end.
 
     ``by_step`` drives the machine through :meth:`Machine.step` instead
     of the :meth:`Machine.advance` run loop; ``finish()`` then stamps
-    the step limit exactly as ``run_machine`` does."""
+    the step limit exactly as ``run_machine`` does.  ``chunk`` first
+    drives the run loop ``chunk`` steps per ``MachineDrive.advance``
+    call, as serve does."""
     capture = _Capture()
     machine_kwargs = dict(scheduler=scheduler, observers=[capture],
                           record_schedule=True, batch_size=batch_size)
@@ -138,6 +153,9 @@ def _fingerprint(program, threads, scheduler, max_steps, batch_size,
         drive = engine.drive_machine(machine, max_steps=max_steps)
         if by_step:
             _step_to(machine, max_steps)
+        elif chunk is not None:
+            while drive.advance(chunk):
+                pass
         result = drive.finish()
     return json.dumps({
         "status": machine.status,
@@ -162,10 +180,9 @@ def _digest(text):
 
 
 def _assert_golden(key, program, threads, seed, switch_prob, max_steps,
-                   batch_size, **kwargs):
+                   batch_size, scheduler=RandomScheduler, **kwargs):
     fingerprint = _fingerprint(
-        program, threads,
-        RandomScheduler(seed=seed, switch_prob=switch_prob),
+        program, threads, scheduler(seed=seed, switch_prob=switch_prob),
         max_steps, batch_size, **kwargs)
     assert _digest(fingerprint) == GOLDEN[key], (key, batch_size)
 
@@ -488,3 +505,102 @@ class TestStepDriven:
     def test_rollback_cycle(self):
         assert (_digest(_run_with_rollback(1, by_step=True))
                 == GOLDEN["checkpoint-restore"])
+
+
+class TestChunkedDrive:
+    """A host that drives one run in chunks (serve's executions do)
+    stops :meth:`Machine.advance` at ``stop`` in the middle of a
+    scheduling quantum and resumes it with the next call.  At every
+    chunk size the run must reproduce the golden digest that one
+    ``advance`` call pins: the stop falls between a step and the next
+    decision, and the resumed call makes that decision with the same
+    draws."""
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize(
+        "entry", _corpus_entries(), ids=lambda e: e.file)
+    def test_corpus_entry(self, entry, chunk):
+        _assert_golden(f"corpus/{entry.file}", _corpus_program(entry),
+                       CORPUS_THREADS, entry.schedule_seed,
+                       entry.switch_prob, entry.max_steps,
+                       DEFAULT_BATCH_SIZE, chunk=chunk)
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize(
+        "entry", _corpus_entries(), ids=lambda e: e.file)
+    def test_corpus_entry_tso(self, entry, chunk):
+        _assert_golden(f"corpus/{entry.file}/tso", _corpus_program(entry),
+                       CORPUS_THREADS, entry.schedule_seed,
+                       entry.switch_prob, entry.max_steps,
+                       DEFAULT_BATCH_SIZE, consistency="tso",
+                       model_seed=entry.schedule_seed, chunk=chunk)
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("name", sorted(WORKLOADS), ids=str)
+    def test_workload(self, name, chunk):
+        workload = WORKLOADS[name]()
+        _assert_golden(f"workload/{name}/default", workload.program,
+                       workload.threads, 1234, 0.3, WORKLOAD_MAX_STEPS,
+                       DEFAULT_BATCH_SIZE, chunk=chunk)
+
+    @pytest.mark.parametrize("chunk", CHUNKS)
+    @pytest.mark.parametrize("name", sorted(WORKLOADS), ids=str)
+    def test_workload_tso(self, name, chunk):
+        workload = WORKLOADS[name]()
+        _assert_golden(f"workload/{name}/tso", workload.program,
+                       workload.threads, 7, 0.3, WORKLOAD_MAX_STEPS,
+                       DEFAULT_BATCH_SIZE, consistency="tso", model_seed=7,
+                       chunk=chunk)
+
+
+class _Generic(RandomScheduler):
+    """Draws exactly what its base class draws, but is not exactly a
+    :class:`RandomScheduler`, so ``advance`` calls its ``pick()``."""
+
+
+#: the monitor workloads of the end-to-end benchmark (4 and 3
+#: threads), a wait/notify buffer, and a lock-free two-thread ring
+GENERIC_WORKLOADS = ["apache", "bounded-buffer", "mysql-prepared",
+                     "spsc-ring"]
+
+
+class TestGenericPick:
+    """``advance`` makes :meth:`RandomScheduler.pick`'s decision inline
+    for that class only; a subclass takes the generic path, one
+    ``pick()`` call per step.  Both must give the same digests, whole
+    and chunked."""
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize("name", GENERIC_WORKLOADS, ids=str)
+    def test_workload(self, name, chunk):
+        workload = WORKLOADS[name]()
+        _assert_golden(f"workload/{name}/default", workload.program,
+                       workload.threads, 1234, 0.3, WORKLOAD_MAX_STEPS,
+                       DEFAULT_BATCH_SIZE, scheduler=_Generic, chunk=chunk)
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize("name", GENERIC_WORKLOADS, ids=str)
+    def test_workload_tso(self, name, chunk):
+        workload = WORKLOADS[name]()
+        _assert_golden(f"workload/{name}/tso", workload.program,
+                       workload.threads, 7, 0.3, WORKLOAD_MAX_STEPS,
+                       DEFAULT_BATCH_SIZE, scheduler=_Generic,
+                       consistency="tso", model_seed=7, chunk=chunk)
+
+    def test_generic_path_calls_pick_once_per_step(self):
+        """One ``pick()`` per decision: a run of N recorded steps made
+        N decisions."""
+        calls = []
+
+        class Counting(RandomScheduler):
+            def pick(self, runnable, current):
+                calls.append(current)
+                return super().pick(runnable, current)
+
+        workload = WORKLOADS["apache"]()
+        machine = Machine(workload.program, workload.threads,
+                          scheduler=Counting(seed=1234, switch_prob=0.3),
+                          record_schedule=True)
+        machine.run(max_steps=5000)
+        assert len(calls) == len(machine.recorded_schedule)
+        assert calls[1:] == machine.recorded_schedule[:-1]

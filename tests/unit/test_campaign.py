@@ -112,6 +112,26 @@ class TestSerialCampaign:
                      on_result=lambda r: seen.append(r.index))
         assert sorted(seen) == list(range(4))
 
+    def test_negative_task_retries_is_an_error(self):
+        """It ran no attempt: the campaign returned no results and
+        raised nothing."""
+        with pytest.raises(ValueError, match="retries must be >= 0"):
+            run_campaign(small_spec(seeds=2, task_retries=-1), workers=1)
+
+
+class TestConfigSpec:
+    @pytest.mark.parametrize("switch_prob", [0.0, -0.5, 1.5])
+    def test_rejects_switch_prob_outside_the_unit_interval(self,
+                                                          switch_prob):
+        """Checked when the spec is built: each task's scheduler raised
+        it instead, and every task became an ``error`` result."""
+        with pytest.raises(ValueError,
+                           match=r"switch_prob must be in \(0, 1\]"):
+            ConfigSpec(switch_prob=switch_prob)
+
+    def test_accepts_one(self):
+        assert ConfigSpec(switch_prob=1.0).switch_prob == 1.0
+
 
 class TestParallelCampaign:
     def test_matches_serial_byte_for_byte(self):

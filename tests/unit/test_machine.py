@@ -1,6 +1,7 @@
 """Machine execution semantics, locks, crashes, checkpoints, determinism."""
 
 import gc
+import random
 import weakref
 
 import pytest
@@ -9,7 +10,8 @@ from repro.engine import DetectorEngine
 from repro.lang import compile_source
 from repro.machine import (
     EV_ACQUIRE, EV_RELEASE, Machine, MachineObserver, MachineStatus,
-    RandomScheduler, ReplayScheduler, RoundRobinScheduler, SerialScheduler,
+    RandomScheduler, ReplayScheduler, RoundRobinScheduler, Scheduler,
+    SerialScheduler,
 )
 from repro.trace import TraceRecorder
 from repro.workloads import apache_log
@@ -334,3 +336,61 @@ class TestSchedulers:
     def test_round_robin_validates_quantum(self):
         with pytest.raises(ValueError):
             RoundRobinScheduler(quantum=0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 1234, 2026])
+    def test_random_switch_draw_is_randrange(self, seed):
+        """A switch draws ``getrandbits(n.bit_length())`` until the
+        value is below ``n``, the draws of ``Random.randrange(n)``
+        (which the scheduler used before).  Pinned against CPython's
+        own ``randrange``, so a change to its algorithm shows here."""
+        for n in range(1, 18):
+            scheduler = RandomScheduler(seed=seed)
+            reference = random.Random(seed)
+            runnable = list(range(n))
+            # no current processor: no stay test, every pick switches
+            assert ([scheduler.pick(runnable, None) for _ in range(50)]
+                    == [reference.randrange(n) for _ in range(50)]), n
+
+
+class _FixedPick(Scheduler):
+    """Picks one processor id, runnable or not."""
+
+    def __init__(self, tid):
+        self.tid = tid
+
+    def pick(self, runnable, current):
+        return self.tid
+
+
+class TestNonRunnablePick:
+    """The run loop checks a scheduler's pick against the runnable set
+    before it executes anything, as ``step()`` does.  Unchecked, a pick
+    of a halted thread re-ran its Halt (``run()`` raised ValueError
+    from ``list.remove``), and an id past the last thread ran as a
+    drain processor (the strict model raised NotImplementedError)."""
+
+    SRC = "thread t(int n) { int i = 0; while (i < n) { i = i + 1; } }"
+
+    def _machine(self, tid):
+        return Machine(compile_source(self.SRC), [("t", (1,)), ("t", (9,))],
+                       scheduler=_FixedPick(tid), record_schedule=True)
+
+    @pytest.mark.parametrize("tid,runnable_after", [
+        (0, [1]),      # thread 0 runs to its Halt, then is picked again
+        (7, [0, 1]),   # never runnable: nothing runs
+    ])
+    def test_run_rejects_it_like_step(self, tid, runnable_after):
+        by_run = self._machine(tid)
+        message = f"scheduler picked non-runnable thread {tid}"
+        with pytest.raises(RuntimeError, match=message):
+            by_run.run()
+        assert by_run._runnable_ids == runnable_after
+        assert set(by_run.recorded_schedule) <= {tid}
+        by_step = self._machine(tid)
+        with pytest.raises(RuntimeError, match=message):
+            while by_step.step():
+                pass
+        assert by_run.steps == by_step.steps
+        assert by_run.recorded_schedule == by_step.recorded_schedule
+        assert by_run.seq == by_step.seq
+        assert by_run.status == MachineStatus.RUNNING

@@ -8,6 +8,8 @@ import multiprocessing.process
 import signal
 import time
 
+import pytest
+
 from repro.harness.pool import parallel_map
 
 
@@ -88,3 +90,15 @@ class TestTimeoutKill:
         assert outcomes[0][0] == "timeout"
         assert outcomes[1:] == [("ok", "a"), ("ok", "b"), ("ok", "c")]
         assert elapsed < 4, f"one timed-out task took {elapsed:.2f}s"
+
+
+class TestNegativeRetries:
+    """``retries=N`` allows N extra attempts, so a negative value would
+    allow no attempt at all: the serial path returned ``[]`` for three
+    payloads, every task lost without an error."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_rejected_on_both_paths(self, workers):
+        with pytest.raises(ValueError, match="retries must be >= 0"):
+            parallel_map(sleep_task, [1, 2, 3], workers=workers,
+                         retries=-1)

@@ -356,3 +356,12 @@ class TestSupervisorSmall:
     def test_rejects_unknown_workload(self):
         with pytest.raises(ValueError):
             ServeConfig(workloads=("nonesuch",))
+
+    @pytest.mark.parametrize("switch_prob", [0.0, -0.5, 1.5])
+    def test_rejects_switch_prob_outside_the_unit_interval(self,
+                                                          switch_prob):
+        """Checked when the config is built, not by every execution's
+        scheduler (a fleet of failed executions)."""
+        with pytest.raises(ValueError,
+                           match=r"switch_prob must be in \(0, 1\]"):
+            ServeConfig(switch_prob=switch_prob)
