@@ -49,7 +49,7 @@ def main() -> None:
     print(f"lab replayed {replay.steps} steps; the crash reproduced at the "
           f"same instruction.")
     print(f"online reports: {detector.report.dynamic_count}; "
-          f"a-posteriori log: {len(detector.log.entries)} triples\n")
+          f"a-posteriori log: {len(detector.log.entry_rows)} triples\n")
 
     print(detector.log.describe(limit=6))
     names = [workload.program.name_of_address(a)

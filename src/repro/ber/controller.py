@@ -127,7 +127,7 @@ class BerController:
 
     def _rollback_target(self, snapshots, report) -> Dict:
         """Newest retained checkpoint at or before the violated CU's birth."""
-        births = [v.cu_birth_seq for v in report if v.cu_birth_seq >= 0]
+        births = [row[7] for row in report.rows if row[7] >= 0]
         limit = min(births) if births else -1
         for snapshot in reversed(snapshots):
             if limit < 0 or snapshot["seq"] <= limit:
@@ -204,7 +204,8 @@ class BerController:
                     # deployment would after exhausting its rollback budget)
                     self._svd = self._fresh_svd()
                     continue
-                self._charge_region(report.violations[0].loc)
+                # the first report's statement (VIOLATION_FIELDS loc)
+                self._charge_region(report.rows[0][2])
                 rollback(self._rollback_target(snapshots, report))
                 continue
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.report import Violation, ViolationReport
+from repro.core.report import ViolationReport
 from repro.engine.analysis import TraceAnalysis
 from repro.machine.events import EV_ALU, EV_BRANCH, EV_LOAD, EV_STORE, Event
 from repro.pdg.cu import CuPartition
@@ -157,15 +157,11 @@ class OfflineSVD:
         partitions = self._compute_cus(trace, pdg)
         report = ViolationReport("svd-offline", self.program)
         for violation in strict_2pl_violations(trace, partitions):
-            report.add(Violation(
-                detector="svd-offline",
-                seq=violation.intruder.seq,
-                tid=violation.victim_access.tid,
-                loc=violation.victim_access.loc,
-                address=violation.address,
-                kind="serializability-violation",
-                other_loc=violation.intruder.loc,
-                other_tid=violation.intruder.tid))
+            report.add(
+                (violation.intruder.seq, violation.victim_access.tid,
+                 violation.victim_access.loc, violation.address,
+                 "serializability-violation", violation.intruder.loc,
+                 violation.intruder.tid, -1))
         cu_count = sum(len(p.members) for p in partitions.values())
         return OfflineResult(partitions=partitions, report=report,
                              cu_count=cu_count)

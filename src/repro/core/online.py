@@ -38,8 +38,8 @@ from repro.core.fsm import (
     IDLE, STATE_NAMES, WRITTEN_STATES, on_local_load, on_local_store,
     on_remote_access,
 )
-from repro.core.posteriori import CuLogRecord, LogEntry, PosterioriLog
-from repro.core.report import Violation, ViolationReport
+from repro.core.posteriori import PosterioriLog
+from repro.core.report import ViolationReport
 from repro.isa.instructions import Alu, Branch, Load, Reg, Store
 from repro.isa.program import Program
 from repro.machine.events import (
@@ -187,7 +187,8 @@ class _ThreadSvd:
         self._check_all = config.check_all_blocks
         #: the manager's directory: block -> tids tracking it
         self._trackers = svd.trackers
-        self._log = svd.log
+        #: the log's CU rows (CU_RECORD_FIELDS order)
+        self._cu_rows = svd.log.cu_rows
         self._report = svd.report
         self.blocks: Dict[int, _Block] = {}
         self.regs: List[Optional[Value]] = [None] * svd._reg_slots
@@ -242,10 +243,9 @@ class _ThreadSvd:
         cu.active = False
         self.live_cus.pop(cu.uid, None)
         self.cus_closed += 1
-        self._log.add_cu_record(CuLogRecord(
-            tid=self.tid, uid=cu.uid, birth_seq=cu.birth_seq,
-            end_seq=end_seq, read_blocks=tuple(sorted(cu.rs)),
-            write_blocks=tuple(sorted(cu.ws)), reason=reason))
+        self._cu_rows.append(
+            (self.tid, cu.uid, cu.birth_seq, end_seq, tuple(sorted(cu.rs)),
+             tuple(sorted(cu.ws)), reason))
         for block in cu.rs | cu.ws:
             entry = self.blocks.get(block)
             if entry is not None and entry.cu.resolve() is cu:
@@ -362,13 +362,10 @@ class _ThreadSvd:
             if entry is None or not entry.conflict:
                 continue
             cu.reported_blocks.add(block)
-            self._report.add(Violation(
-                detector="svd", seq=seq, tid=self.tid,
-                loc=loc, address=entry.conflict_addr,
-                kind="serializability-violation",
-                other_loc=entry.conflict_loc,
-                other_tid=entry.conflict_tid,
-                cu_birth_seq=cu.birth_seq))
+            self._report.add(
+                (seq, self.tid, loc, entry.conflict_addr,
+                 "serializability-violation", entry.conflict_loc,
+                 entry.conflict_tid, cu.birth_seq))
 
 
 class OnlineSVD(MachineObserver):
@@ -479,7 +476,7 @@ class OnlineSVD(MachineObserver):
         last_writer = self.last_writer
         deliver = self._deliver_remote
         trackers = self.trackers
-        log_add = self.log.add_entry
+        log_add = self.log.entry_rows.append
         load_state = _LOAD_STATE
         cut_at_wait = self.config.cut_at_wait
         alu = EV_ALU
@@ -527,14 +524,9 @@ class OnlineSVD(MachineObserver):
                     if remote is not None and remote[0] != tid:
                         local = local_writes.get(block)
                         if local is not None and local[0] < remote[1]:
-                            log_add(LogEntry(
-                                tid=tid, reader_seq=seq,
-                                reader_loc=loc, address=addr,
-                                remote_tid=remote[0],
-                                remote_seq=remote[1],
-                                remote_loc=remote[2],
-                                local_seq=local[0],
-                                local_loc=local[1]))
+                            log_add((tid, seq, loc, addr, remote[0],
+                                     remote[1], remote[2], local[0],
+                                     local[1]))
                 entry = blocks.get(block)
                 state = entry.state if entry is not None else IDLE
                 new_state, cut = load_state[state]

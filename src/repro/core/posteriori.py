@@ -34,9 +34,6 @@ class LogEntry:
     local_seq: int
     local_loc: int
 
-    def static_key(self) -> Tuple[int, int, int]:
-        return (self.reader_loc, self.remote_loc, self.local_loc)
-
 
 @dataclass(frozen=True)
 class CuLogRecord:
@@ -51,42 +48,65 @@ class CuLogRecord:
     reason: str  # 'stored-shared-load' | 'remote-true-dep' | 'thread-end'
 
 
+#: one communication triple as a row tuple, in :class:`LogEntry`'s
+#: field order
+LOG_ENTRY_FIELDS = ("tid", "reader_seq", "reader_loc", "address",
+                    "remote_tid", "remote_seq", "remote_loc", "local_seq",
+                    "local_loc")
+
+#: one CU shape as a row tuple, in :class:`CuLogRecord`'s field order
+CU_RECORD_FIELDS = ("tid", "uid", "birth_seq", "end_seq", "read_blocks",
+                    "write_blocks", "reason")
+
+
 class PosterioriLog:
-    """Accumulates log records and renders the examination report."""
+    """Accumulates log records and renders the examination report.
+
+    SVD appends row tuples to :attr:`entry_rows`
+    (:data:`LOG_ENTRY_FIELDS` order) and :attr:`cu_rows`
+    (:data:`CU_RECORD_FIELDS` order); :attr:`entries` and
+    :attr:`cu_records` build the objects afresh on each read.
+    """
 
     def __init__(self, program: Optional[Program] = None) -> None:
         self.program = program
-        self.entries: List[LogEntry] = []
-        self.cu_records: List[CuLogRecord] = []
+        self.entry_rows: List[Tuple] = []
+        self.cu_rows: List[Tuple] = []
 
-    def add_entry(self, entry: LogEntry) -> None:
-        self.entries.append(entry)
+    @property
+    def entries(self) -> List[LogEntry]:
+        """The communication triples as :class:`LogEntry` objects."""
+        return [LogEntry(*row) for row in self.entry_rows]
 
-    def add_cu_record(self, record: CuLogRecord) -> None:
-        self.cu_records.append(record)
+    @property
+    def cu_records(self) -> List[CuLogRecord]:
+        """The CU shapes as :class:`CuLogRecord` objects."""
+        return [CuLogRecord(*row) for row in self.cu_rows]
 
     @property
     def static_entries(self) -> Set[Tuple[int, int, int]]:
         """Distinct communication triples by static statements."""
-        return {e.static_key() for e in self.entries}
+        return {(row[2], row[6], row[8]) for row in self.entry_rows}
 
     def entries_for_address(self, address: int) -> List[LogEntry]:
-        return [e for e in self.entries if e.address == address]
+        return [LogEntry(*row) for row in self.entry_rows
+                if row[3] == address]
 
     def suspicious_addresses(self) -> Dict[int, int]:
         """Addresses ranked by how often a local write was overwritten
         remotely before being read back -- candidates for "mistakenly
         shared" variables (the Figure 3 pattern)."""
         counts: Dict[int, int] = {}
-        for entry in self.entries:
-            counts[entry.address] = counts.get(entry.address, 0) + 1
+        for row in self.entry_rows:
+            address = row[3]
+            counts[address] = counts.get(address, 0) + 1
         return dict(sorted(counts.items(), key=lambda kv: -kv[1]))
 
     def describe(self, limit: int = 20) -> str:
         """Render the examination report a programmer would read."""
-        lines = [f"a-posteriori log: {len(self.entries)} communication "
+        lines = [f"a-posteriori log: {len(self.entry_rows)} communication "
                  f"triples ({len(self.static_entries)} static), "
-                 f"{len(self.cu_records)} CU records"]
+                 f"{len(self.cu_rows)} CU records"]
         if self.program is None:
             return lines[0]
 
@@ -97,16 +117,17 @@ class PosterioriLog:
 
         seen: Set[Tuple[int, int, int]] = set()
         shown = 0
-        for entry in self.entries:
-            key = entry.static_key()
+        for (_tid, _reader_seq, reader_loc, address, remote_tid, _remote_seq,
+             remote_loc, _local_seq, local_loc) in self.entry_rows:
+            key = (reader_loc, remote_loc, local_loc)
             if key in seen:
                 continue
             seen.add(key)
-            name = self.program.name_of_address(entry.address)
+            name = self.program.name_of_address(address)
             lines.append(
-                f"  {name}: read at {{{loc_text(entry.reader_loc)}}} saw "
-                f"remote write t{entry.remote_tid} {{{loc_text(entry.remote_loc)}}} "
-                f"overwriting local write {{{loc_text(entry.local_loc)}}}")
+                f"  {name}: read at {{{loc_text(reader_loc)}}} saw "
+                f"remote write t{remote_tid} {{{loc_text(remote_loc)}}} "
+                f"overwriting local write {{{loc_text(local_loc)}}}")
             shown += 1
             if shown >= limit:
                 break

@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.cu import Cu
 from repro.core.online import OnlineSVD, SvdConfig
-from repro.core.report import Violation, ViolationReport
+from repro.core.report import ViolationReport
 from repro.isa.program import Program
 from repro.machine.events import EV_LOAD, EV_STORE
 
@@ -130,12 +130,8 @@ class PreciseSVD(OnlineSVD):
         # adding src -> dst closes a cycle iff dst already reaches src
         if self._reaches(dst_uid, src):
             self.report.add_once(
-                Violation(
-                    detector="svd-precise", seq=seq, tid=tid,
-                    loc=loc, address=addr,
-                    kind="serializability-cycle",
-                    other_loc=src_loc, other_tid=src_tid,
-                    cu_birth_seq=dst.resolve().birth_seq),
+                (seq, tid, loc, addr, "serializability-cycle", src_loc,
+                 src_tid, dst.resolve().birth_seq),
                 key=(min(src, dst_uid), max(src, dst_uid)))
             return  # keep the graph acyclic so later cycles stay visible
         succ.add(dst_uid)

@@ -76,17 +76,29 @@ class Violation:
     other_tid: int = -1
     cu_birth_seq: int = -1
 
-    def static_key(self) -> Tuple[str, int]:
-        return (self.kind, self.loc)
+
+#: one dynamic report as a row tuple: :class:`Violation`'s fields after
+#: ``detector`` (the report names its detector).  Detectors write only
+#: rows; :attr:`ViolationReport.violations` builds the objects on read.
+VIOLATION_FIELDS = ("seq", "tid", "loc", "address", "kind", "other_loc",
+                    "other_tid", "cu_birth_seq")
 
 
 class ViolationReport:
-    """A collection of violations with static/dynamic accounting."""
+    """A collection of violations with static/dynamic accounting.
+
+    Reports are held as :attr:`rows` in :data:`VIOLATION_FIELDS` order
+    -- a tuple costs a small fraction of a frozen dataclass, and FRD
+    writes thousands per execution.  Counting and deduplicating views
+    read the rows; :attr:`violations` and iteration build
+    :class:`Violation` objects afresh on each read.
+    """
 
     def __init__(self, detector: str, program: Optional[Program] = None) -> None:
         self.detector = detector
         self.program = program
-        self.violations: List[Violation] = []
+        #: one tuple per dynamic report, in :data:`VIOLATION_FIELDS` order
+        self.rows: List[Tuple] = []
         self._dedup_keys: Set[Tuple] = set()
         #: reports suppressed by :meth:`add_once` (an already-seen key)
         self.dedup_rejected = 0
@@ -99,40 +111,47 @@ class ViolationReport:
         #: attached by the engine; empty for a clean run
         self.failures: List[AnalysisFailure] = []
 
-    def add(self, violation: Violation) -> None:
-        self.violations.append(violation)
+    def add(self, row: Tuple) -> None:
+        """Append one report row (:data:`VIOLATION_FIELDS` order)."""
+        self.rows.append(row)
 
-    def add_once(self, violation: Violation, key: Optional[Tuple] = None) -> bool:
+    def add_once(self, row: Tuple, key: Optional[Tuple] = None) -> bool:
         """Add unless an equivalent violation was already reported.
 
-        ``key`` defaults to the :meth:`Violation.static_key` --
-        the ``(kind, source statement)`` deduplication every detector
-        used to reimplement privately; detectors with a different
-        report identity (per lock, per address, per dynamic block) pass
-        an explicit key.  Returns whether the violation was added.
+        ``key`` defaults to the row's static key ``(kind, loc)`` -- the
+        ``(kind, source statement)`` deduplication every detector used
+        to reimplement privately; detectors with a different report
+        identity (per lock, per address, per dynamic block) pass an
+        explicit key.  Returns whether the row was added.
         """
         if key is None:
-            key = violation.static_key()
+            key = (row[4], row[2])
         if key in self._dedup_keys:
             self.dedup_rejected += 1
             return False
         self._dedup_keys.add(key)
-        self.violations.append(violation)
+        self.rows.append(row)
         return True
 
     def already_reported(self, key: Tuple) -> bool:
         """Whether :meth:`add_once` has seen ``key``."""
         return key in self._dedup_keys
 
+    @property
+    def violations(self) -> List[Violation]:
+        """The rows as :class:`Violation` objects, built on each read."""
+        detector = self.detector
+        return [Violation(detector, *row) for row in self.rows]
+
     def __len__(self) -> int:
-        return len(self.violations)
+        return len(self.rows)
 
     def __iter__(self):
         return iter(self.violations)
 
     @property
     def dynamic_count(self) -> int:
-        return len(self.violations)
+        return len(self.rows)
 
     @property
     def degraded(self) -> bool:
@@ -141,7 +160,7 @@ class ViolationReport:
 
     @property
     def static_keys(self) -> Set[Tuple[str, int]]:
-        return {v.static_key() for v in self.violations}
+        return {(row[4], row[2]) for row in self.rows}
 
     @property
     def static_count(self) -> int:
@@ -149,7 +168,7 @@ class ViolationReport:
 
     def static_locs(self) -> Set[int]:
         """Distinct reporting source-location indices."""
-        return {v.loc for v in self.violations}
+        return {row[2] for row in self.rows}
 
     def dynamic_per_million(self, instructions: int) -> float:
         """Dynamic reports per million executed instructions."""
@@ -161,16 +180,21 @@ class ViolationReport:
         """Human-readable summary grouped by static key."""
         if self.program is None:
             return f"{self.detector}: {self.dynamic_count} reports"
-        grouped: Dict[Tuple[str, int], List[Violation]] = {}
-        for v in self.violations:
-            grouped.setdefault(v.static_key(), []).append(v)
+        # static key -> [count, address of the first report]
+        grouped: Dict[Tuple[str, int], List[int]] = {}
+        for row in self.rows:
+            key = (row[4], row[2])
+            group = grouped.get(key)
+            if group is None:
+                grouped[key] = [1, row[3]]
+            else:
+                group[0] += 1
         lines = [f"{self.detector}: {self.dynamic_count} dynamic reports, "
                  f"{len(grouped)} static sites"]
-        for (kind, loc), items in sorted(grouped.items())[:limit]:
+        for (kind, loc), (count, address) in sorted(grouped.items())[:limit]:
             where = (str(self.program.locs[loc])
                      if 0 <= loc < len(self.program.locs) else f"loc {loc}")
-            sample = items[0]
-            addr_name = (self.program.name_of_address(sample.address)
-                         if sample.address >= 0 else "?")
-            lines.append(f"  [{kind}] {where}  (x{len(items)}, on {addr_name})")
+            addr_name = (self.program.name_of_address(address)
+                         if address >= 0 else "?")
+            lines.append(f"  [{kind}] {where}  (x{count}, on {addr_name})")
         return "\n".join(lines)

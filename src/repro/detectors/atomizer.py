@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
-from repro.core.report import Violation, ViolationReport
+from repro.core.report import ViolationReport
 from repro.detectors.lockset import LocksetDetector
 from repro.engine.analysis import Analysis
 from repro.machine.events import (
@@ -76,13 +76,12 @@ class AtomizerDetector(Analysis):
         # by the time this phase starts, the lockset dependency has
         # finished its pass over the same stream
         if self._lockset is not None:
-            self._exposed = {violation.address
-                             for violation in self._lockset.report}
+            self._exposed = {row[3] for row in self._lockset.report.rows}
 
     def _race_exposed(self, trace: Trace) -> Set[int]:
         """Auxiliary pass: addresses the lockset analysis flags as racy."""
         lockset_report = LocksetDetector(self.program).run(trace)
-        return {violation.address for violation in lockset_report}
+        return {row[3] for row in lockset_report.rows}
 
     def consume_batch(self, batch) -> None:
         """Run one window through the per-thread atomic-block states,
@@ -115,11 +114,10 @@ class AtomizerDetector(Analysis):
                     if state.phase == POST_COMMIT:
                         if not state.reported:
                             state.reported = True
-                            self.report.add(Violation(
-                                detector="atomizer", seq=seq,
-                                tid=tid, loc=loc, address=addr,
-                                kind="atomicity-violation",
-                                other_loc=state.entry_loc))
+                            self.report.add(
+                                (seq, tid, loc, addr,
+                                 "atomicity-violation", state.entry_loc,
+                                 -1, -1))
                     else:
                         state.phase = POST_COMMIT
             elif kind == acquire:
@@ -132,11 +130,9 @@ class AtomizerDetector(Analysis):
                     state.depth += 1
                     if state.phase == POST_COMMIT and not state.reported:
                         state.reported = True
-                        self.report.add(Violation(
-                            detector="atomizer", seq=seq,
-                            tid=tid, loc=loc, address=addr,
-                            kind="atomicity-violation",
-                            other_loc=state.entry_loc))
+                        self.report.add(
+                            (seq, tid, loc, addr, "atomicity-violation",
+                             state.entry_loc, -1, -1))
             else:
                 if state.depth > 0:
                     state.depth -= 1

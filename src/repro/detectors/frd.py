@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.report import Violation, ViolationReport
+from repro.core.report import ViolationReport
 from repro.detectors.vector_clock import VectorClock
 from repro.engine.analysis import Analysis
 from repro.machine.events import (
@@ -135,10 +135,8 @@ class FrontierRaceDetector(Analysis):
         if prev_tid == tid:
             return
         if not prev_vc.happens_before(self._clocks[tid]):
-            self.report.add(Violation(
-                detector="frd", seq=seq, tid=tid,
-                loc=loc, address=addr, kind="data-race",
-                other_loc=prev_loc, other_tid=prev_tid))
+            self.report.add((seq, tid, loc, addr, "data-race", prev_loc,
+                             prev_tid, -1))
 
     def consume_batch(self, batch) -> None:
         """Advance the vector clocks over one shared mixed-kind window

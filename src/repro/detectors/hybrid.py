@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import FrozenSet, Optional, Set
 
-from repro.core.report import Violation, ViolationReport
+from repro.core.report import ViolationReport
 from repro.detectors.frd import FrontierRaceDetector
 from repro.detectors.lockset import LocksetDetector
 from repro.engine.analysis import Analysis
@@ -54,18 +54,15 @@ class HybridRaceDetector(Analysis):
 
     def _compose(self, lockset_report: ViolationReport,
                  frd_report: ViolationReport) -> None:
-        candidates: Set[int] = {violation.address
-                                for violation in lockset_report}
+        candidates: Set[int] = {row[3] for row in lockset_report.rows}
         if not candidates:
             return
-        for violation in frd_report:
-            if violation.address in candidates:
-                self.report.add(Violation(
-                    detector="hybrid", seq=violation.seq,
-                    tid=violation.tid, loc=violation.loc,
-                    address=violation.address, kind="confirmed-race",
-                    other_loc=violation.other_loc,
-                    other_tid=violation.other_tid))
+        add = self.report.add
+        for (seq, tid, loc, address, _kind, other_loc, other_tid,
+             _birth) in frd_report.rows:
+            if address in candidates:
+                add((seq, tid, loc, address, "confirmed-race", other_loc,
+                     other_tid, -1))
 
     def run(self, trace: Trace) -> ViolationReport:
         """Standalone: run both constituent passes privately."""
@@ -76,5 +73,5 @@ class HybridRaceDetector(Analysis):
 
     def candidate_count(self, trace: Trace) -> int:
         """How many addresses the cheap pass nominated (cost proxy)."""
-        return len({v.address
-                    for v in LocksetDetector(self.program).run(trace)})
+        return len({row[3]
+                    for row in LocksetDetector(self.program).run(trace).rows})

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.core.report import Violation, ViolationReport
+from repro.core.report import ViolationReport
 from repro.engine.analysis import Analysis
 from repro.machine.events import EV_ACQUIRE, EV_RELEASE, EV_WAIT, SYNC_KINDS
 from repro.trace.trace import Trace
@@ -109,11 +109,8 @@ class LockOrderDetector(Analysis):
             if back is None:
                 continue
             self.report.add_once(
-                Violation(detector="lock-order", seq=edge.seq,
-                          tid=edge.tid, loc=edge.loc,
-                          address=edge.acquired,
-                          kind="potential-deadlock", other_loc=back.loc,
-                          other_tid=back.tid),
+                (edge.seq, edge.tid, edge.loc, edge.acquired,
+                 "potential-deadlock", back.loc, back.tid, -1),
                 key=(min(edge.held, edge.acquired),
                      max(edge.held, edge.acquired)))
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Set
 
-from repro.core.report import Violation, ViolationReport
+from repro.core.report import ViolationReport
 from repro.engine.analysis import Analysis
 from repro.machine.events import (
     EV_ACQUIRE, EV_LOAD, EV_RELEASE, EV_STORE, EV_WAIT, MEMORY_KINDS,
@@ -112,9 +112,7 @@ class LocksetDetector(Analysis):
                 entry.candidates &= held
             if entry.state == SHARED_MODIFIED and not entry.candidates:
                 self.report.add_once(
-                    Violation(detector="lockset", seq=seq, tid=tid,
-                              loc=loc, address=addr,
-                              kind="lockset-empty"),
+                    (seq, tid, loc, addr, "lockset-empty", -1, -1, -1),
                     key=("lockset-empty", addr))
 
     def run(self, trace: Trace) -> ViolationReport:

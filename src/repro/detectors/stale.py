@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
-from repro.core.report import Violation, ViolationReport
+from repro.core.report import ViolationReport
 from repro.engine.analysis import Analysis
 from repro.engine.index import SharedAddressIndex
 from repro.isa.instructions import Reg
@@ -92,8 +92,7 @@ class StaleValueDetector(Analysis):
         for lock, _session in [tag for tag in taint
                                if tag in state.closed]:
             self.report.add_once(
-                Violation(detector="stale-value", seq=seq, tid=tid,
-                          loc=loc, address=lock, kind="stale-value-use"),
+                (seq, tid, loc, lock, "stale-value-use", -1, -1, -1),
                 key=(loc, lock))
 
     @staticmethod

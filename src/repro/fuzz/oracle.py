@@ -35,14 +35,13 @@ from repro.machine.scheduler import RandomScheduler
 from repro.metrics.classify import DetectorMetrics, classify_report
 from repro.trace.trace import Trace
 
-#: the per-violation identity used for exact live-vs-replay comparison
+#: the per-violation identity used for exact live-vs-replay comparison:
+#: a report row, in :data:`repro.core.report.VIOLATION_FIELDS` order
 ViolationKey = Tuple[int, int, int, int, str, int, int, int]
 
 
 def _violation_keys(report) -> List[ViolationKey]:
-    return [(v.seq, v.tid, v.loc, v.address, v.kind,
-             v.other_loc, v.other_tid, v.cu_birth_seq)
-            for v in report]
+    return list(report.rows)
 
 
 def replay_online(program, trace: Trace,

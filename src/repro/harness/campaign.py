@@ -41,7 +41,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 import repro.obs as obs
 from repro.core.online import SvdConfig
-from repro.harness.pool import Outcome, parallel_map
+from repro.harness.pool import Outcome, check_retries, parallel_map
 from repro.harness.runner import run_workload
 from repro.harness.table2 import Table2Row, aggregate_row, render_table2
 from repro.harness.render import render_table
@@ -145,6 +145,9 @@ class CampaignSpec:
     task_retries: int = 0
     #: deterministic backoff factor between attempts, in seconds
     retry_backoff: float = 0.0
+
+    def __post_init__(self) -> None:
+        check_retries(self.task_retries)
 
     def tasks(self) -> List["CampaignTask"]:
         """The deterministic task expansion of the matrix."""

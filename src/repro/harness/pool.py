@@ -152,6 +152,14 @@ def _pick_context():
         "fork" if "fork" in methods else "spawn")
 
 
+def check_retries(retries: int) -> None:
+    """Raise ValueError if ``retries`` is negative: it would run no
+    attempt at all.  Every holder of a retry count checks it when it is
+    built, not when its first task runs."""
+    if retries < 0:
+        raise ValueError(f"retries must be >= 0, got {retries}")
+
+
 def parallel_map(runner: Callable[[Any], Any], payloads: Sequence[Any],
                  workers: int = 1,
                  timeout: Optional[float] = None,
@@ -178,8 +186,7 @@ def parallel_map(runner: Callable[[Any], Any], payloads: Sequence[Any],
     rate limiting is the consumer's job.  A negative ``retries``
     raises ValueError: it would run no attempt at all.
     """
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
+    check_retries(retries)
     total = len(payloads)
     outcomes: List[Optional[Outcome]] = [None] * total
     started = time.perf_counter()

@@ -56,10 +56,11 @@ class RunResult:
     @property
     def posteriori_found_bug(self) -> bool:
         """Did the a-posteriori log implicate a ground-truth bug statement?"""
-        for entry in self.log.entries:
-            if (entry.reader_loc in self.bug_locs
-                    or entry.remote_loc in self.bug_locs
-                    or entry.local_loc in self.bug_locs):
+        bug_locs = self.bug_locs
+        for row in self.log.entry_rows:
+            # reader, remote and local statement (LOG_ENTRY_FIELDS)
+            if (row[2] in bug_locs or row[6] in bug_locs
+                    or row[8] in bug_locs):
                 return True
         return False
 
@@ -131,9 +132,13 @@ def run_workload(workload: Workload, seed: int = 0,
 
     ``consistency`` selects the memory model the live machine executes
     under ("strict" or "tso", see :mod:`repro.machine.memmodel`);
-    ``model_seed`` seeds the TSO store-buffer capacities.  Detectors are
-    model-agnostic: they observe whatever event stream the machine's
-    visibility order produces.
+    ``model_seed`` seeds the TSO store-buffer capacities.  Detectors
+    observe the stream in the machine's visibility order, where a
+    buffered store's ``STORE`` row appears when the store drains.  SVD
+    reads the storing thread's registers and control stack when it
+    processes that row, so under TSO it takes a buffered store's
+    dataflow when the store drains, not when its thread executed it
+    (see ``docs/consistency.md``).
     """
     program = workload.program
     names = detector_names(run_frd, detectors)

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Set
 
-from repro.core.report import Violation, ViolationReport
+from repro.core.report import ViolationReport
 
 
 @dataclass
@@ -81,15 +81,20 @@ def classify_reports(reports: Dict[str, ViolationReport],
 
 def classify_report(report: ViolationReport, bug_locs: Set[int],
                     instructions: int = 0) -> DetectorMetrics:
-    """Split a report into true/false positives against ``bug_locs``."""
+    """Split a report into true/false positives against ``bug_locs``
+    (reads the report's rows; builds no violation objects)."""
     metrics = DetectorMetrics(detector=report.detector,
                               instructions=instructions)
-    for violation in report:
-        is_tp = violation.loc in bug_locs or violation.other_loc in bug_locs
-        if is_tp:
-            metrics.dynamic_tp += 1
-            metrics.static_tp_locs.add(violation.loc)
+    tp_locs = metrics.static_tp_locs
+    fp_locs = metrics.static_fp_locs
+    tp = 0
+    for row in report.rows:
+        loc = row[2]
+        if loc in bug_locs or row[5] in bug_locs:
+            tp += 1
+            tp_locs.add(loc)
         else:
-            metrics.dynamic_fp += 1
-            metrics.static_fp_locs.add(violation.loc)
+            fp_locs.add(loc)
+    metrics.dynamic_tp = tp
+    metrics.dynamic_fp = len(report.rows) - tp
     return metrics

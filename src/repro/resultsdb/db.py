@@ -182,10 +182,10 @@ def violation_report_fingerprints(reports: Mapping[str, Any]) -> List[str]:
     by source statement) so a noisy run stays bounded."""
     keys = set()
     for name in reports:
-        report = reports[name]
-        for violation in getattr(report, "violations", ()):
-            keys.add(f"{name}:{violation.kind}:loc={violation.loc},"
-                     f"other={violation.other_loc}")
+        sites = {(row[4], row[2], row[5])
+                 for row in getattr(reports[name], "rows", ())}
+        keys.update(f"{name}:{kind}:loc={loc},other={other}"
+                    for kind, loc, other in sites)
     return sorted(keys)
 
 

@@ -477,7 +477,7 @@ class Supervisor:
             report = result.reports.get(name)
             if report is None:
                 continue
-            count = len(report.violations)
+            count = report.dynamic_count
             if count:
                 self._record_violations(info, name, count)
         for name in result.failures:

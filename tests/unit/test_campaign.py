@@ -113,10 +113,25 @@ class TestSerialCampaign:
         assert sorted(seen) == list(range(4))
 
     def test_negative_task_retries_is_an_error(self):
-        """It ran no attempt: the campaign returned no results and
-        raised nothing."""
+        """It would run no attempt: the spec itself is refused."""
         with pytest.raises(ValueError, match="retries must be >= 0"):
             run_campaign(small_spec(seeds=2, task_retries=-1), workers=1)
+
+    def test_negative_task_retries_is_refused_before_the_journal(
+            self, tmp_path):
+        """The spec is refused when it is built: no journal is written,
+        so a corrected rerun into the same directory starts cleanly."""
+        journal = tmp_path / "journal"
+        with pytest.raises(ValueError, match="retries must be >= 0"):
+            run_campaign(CampaignSpec([WorkloadSpec("stringbuffer")],
+                                      configs=[FAST], seeds=2,
+                                      task_retries=-1),
+                         journal_dir=str(journal))
+        assert not journal.exists() or not os.listdir(journal)
+        report = run_campaign(CampaignSpec([WorkloadSpec("stringbuffer")],
+                                           configs=[FAST], seeds=2),
+                              journal_dir=str(journal))
+        assert report.completed == 2
 
 
 class TestConfigSpec:

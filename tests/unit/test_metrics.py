@@ -2,13 +2,13 @@
 
 import pytest
 
-from repro.core.report import Violation, ViolationReport
+from repro.core.report import ViolationReport
 from repro.metrics import DetectorMetrics, classify_report
 
 
 def violation(loc, other_loc=-1, seq=0):
-    return Violation(detector="svd", seq=seq, tid=0, loc=loc, address=0,
-                     kind="serializability-violation", other_loc=other_loc)
+    """One report row, in VIOLATION_FIELDS order."""
+    return (seq, 0, loc, 0, "serializability-violation", other_loc, -1, -1)
 
 
 class TestClassification:

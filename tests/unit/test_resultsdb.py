@@ -8,7 +8,7 @@ import sqlite3
 import pytest
 
 from repro import resultsdb
-from repro.core.report import Violation
+from repro.core.report import ViolationReport
 from repro.resultsdb import (MIN_HISTORY, ResultsDB, ResultsDBError,
                              config_fingerprint, iter_jsonl, open_db,
                              render_trend_table, trend_check,
@@ -156,13 +156,10 @@ class TestQueries:
 
 class TestViolationFingerprints:
     def report(self, *pairs):
-        class Report:
-            violations = [
-                Violation(detector="svd", seq=i, tid=0, loc=loc,
-                          address=0, kind="unserializable",
-                          other_loc=other, other_tid=1)
-                for i, (loc, other) in enumerate(pairs)]
-        return Report()
+        report = ViolationReport("svd")
+        for i, (loc, other) in enumerate(pairs):
+            report.add((i, 0, loc, 0, "unserializable", other, 1, -1))
+        return report
 
     def test_static_dedup_and_sort(self):
         reports = {"svd": self.report((5, 9), (5, 9), (2, 3))}

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import OnlineSVD, render_cu_timeline
-from repro.core.posteriori import CuLogRecord, PosterioriLog
+from repro.core.posteriori import PosterioriLog
 from repro.machine import RandomScheduler
 from repro.workloads import apache_log
 from tests.conftest import COUNTER_LOCKED, run_with_svd
@@ -15,12 +15,8 @@ class TestRenderer:
 
     def test_synthetic_records(self):
         log = PosterioriLog()
-        log.add_cu_record(CuLogRecord(tid=0, uid=1, birth_seq=0, end_seq=50,
-                                      read_blocks=(3,), write_blocks=(4,),
-                                      reason="thread-end"))
-        log.add_cu_record(CuLogRecord(tid=1, uid=2, birth_seq=25, end_seq=75,
-                                      read_blocks=(), write_blocks=(3,),
-                                      reason="stored-shared-load"))
+        log.cu_rows.append((0, 1, 0, 50, (3,), (4,), "thread-end"))
+        log.cu_rows.append((1, 2, 25, 75, (), (3,), "stored-shared-load"))
         text = render_cu_timeline(log, chart_width=20)
         assert "thread 0" in text
         assert "thread 1" in text
@@ -29,12 +25,8 @@ class TestRenderer:
 
     def test_bars_reflect_spans(self):
         log = PosterioriLog()
-        log.add_cu_record(CuLogRecord(tid=0, uid=1, birth_seq=0, end_seq=100,
-                                      read_blocks=(), write_blocks=(),
-                                      reason="thread-end"))
-        log.add_cu_record(CuLogRecord(tid=0, uid=2, birth_seq=0, end_seq=10,
-                                      read_blocks=(), write_blocks=(),
-                                      reason="thread-end"))
+        log.cu_rows.append((0, 1, 0, 100, (), (), "thread-end"))
+        log.cu_rows.append((0, 2, 0, 10, (), (), "thread-end"))
         text = render_cu_timeline(log, chart_width=40)
         lines = [l for l in text.splitlines() if "#" in l and "|" in l]
         long_bar = lines[0].split("|")[1].count("#")
