@@ -22,15 +22,16 @@ Figure 7, not a set: a LOAD sets its destination to the block's CU, and
 an ALU copies its one tracked source.  Only an ALU that joins two
 different units holds a ``frozenset`` of the active roots they resolved
 to.  A value is resolved (forwarding pointers followed, closed units
-dropped) only where it is used: at a store, or at such a join.  A
-store whose data, address and control values resolve to at most one
-unit -- nearly every store -- checks that unit and keeps it without
-calling ``merge_cus``.
+dropped) only where it is used: at a store, or at such a join.  Only a
+store whose data resolves to two or more units calls ``merge_cus``;
+any other store checks the units its data, address and control values
+resolve to, in creation order, and keeps the data's unit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, FrozenSet, List, Optional, Set, Tuple, Union
 
 from repro.core.cu import Cu, merge_cus
@@ -96,6 +97,9 @@ _IMM = -1
 #: :func:`_unit`'s answer when a value resolves to several units
 _MANY = object()
 
+#: creation order, the order a store checks its units in
+_by_uid = attrgetter("uid")
+
 
 def _unit(value: Optional[Value]):
     """The one active unit ``value`` resolves to: None for none, or
@@ -103,7 +107,7 @@ def _unit(value: Optional[Value]):
     if value is None:
         return None
     if value.__class__ is Cu:
-        root = value.resolve()
+        root = value if value.merged_into is None else value.resolve()
         return root if root.active else None
     unit = None
     for cu in value:
@@ -115,12 +119,15 @@ def _unit(value: Optional[Value]):
     return unit
 
 
-def _meet(unit, value: Value):
-    """Fold ``value`` into ``unit`` (a :func:`_unit` answer)."""
-    other = _unit(value)
-    if other is None or other is unit:
-        return unit
-    return other if unit is None else _MANY
+def _gather(value: Value, units: List[Cu]) -> None:
+    """Append the active units ``value`` resolves to that ``units``
+    does not hold yet."""
+    if value.__class__ is Cu:
+        value = (value,)
+    for cu in value:
+        root = cu if cu.merged_into is None else cu.resolve()
+        if root.active and root not in units:
+            units.append(root)
 
 
 def _roots(value: Optional[Value]) -> Set[Cu]:
@@ -139,6 +146,15 @@ def _roots(value: Optional[Value]) -> Set[Cu]:
 
 def _join(a: Value, b: Value) -> Optional[Value]:
     """An ALU's value when its sources hold two different values."""
+    if a.__class__ is Cu and b.__class__ is Cu:
+        # two bare references: nearly every join
+        if a.merged_into is not None:
+            a = a.resolve()
+        if b.merged_into is not None:
+            b = b.resolve()
+        if not a.active:
+            return b if b.active else None
+        return frozenset((a, b)) if b.active and b is not a else a
     roots = _roots(a)
     roots |= _roots(b)
     if len(roots) > 1:
@@ -221,7 +237,11 @@ class _ThreadSvd:
     def _track(self, block: int, cu: Cu) -> _Block:
         entry = _Block(cu)
         self.blocks[block] = entry
-        self._trackers.setdefault(block, set()).add(self.tid)
+        trackers = self._trackers.get(block)
+        if trackers is None:
+            self._trackers[block] = {self.tid}
+        else:
+            trackers.add(self.tid)
         if len(self.blocks) > self.peak_tracked_blocks:
             self.peak_tracked_blocks = len(self.blocks)
         return entry
@@ -246,10 +266,12 @@ class _ThreadSvd:
         self._cu_rows.append(
             (self.tid, cu.uid, cu.birth_seq, end_seq, tuple(sorted(cu.rs)),
              tuple(sorted(cu.ws)), reason))
-        for block in cu.rs | cu.ws:
-            entry = self.blocks.get(block)
-            if entry is not None and entry.cu.resolve() is cu:
-                self._untrack(block)
+        blocks = self.blocks
+        for group in (cu.rs, cu.ws):
+            for block in group:
+                entry = blocks.get(block)
+                if entry is not None and entry.cu.resolve() is cu:
+                    self._untrack(block)
         # register and control-stack references to `cu` are filtered
         # lazily via the active flag
 
@@ -257,44 +279,55 @@ class _ThreadSvd:
 
     def on_store(self, seq: int, loc: int, block: int, src_reg: int,
                  addr_reg: int) -> None:
-        """Figure 7's store.  Its dataflow side resolves the data,
-        address and control values, merges the data units and writes
-        the block (FSM, write set, ``local_writes``,
-        ``last_access_cu``); its conflict side is the strict-2PL check
-        of every unit the values resolve to, made before the merge.
-        Remote delivery and ``last_writer`` are the manager's."""
+        """Figure 7's store.  Its dataflow side resolves the data
+        value, merges the data units and writes the block (FSM, write
+        set, ``local_writes``, ``last_access_cu``); its conflict side
+        is the strict-2PL check of every unit the data, address and
+        control values resolve to, made before the merge.  Remote
+        delivery and ``last_writer`` are the manager's."""
         regs = self.regs
         value = regs[src_reg]
-        data = unit = _unit(value)
-        if self._use_addr_deps:
-            other = regs[addr_reg]
-            if other is not None and other is not value:
-                unit = _meet(unit, other)
-        if self._use_ctrl_deps:
-            for other, _reconv in self.ctrl_stack:
-                if other is not None and other is not value:
-                    unit = _meet(unit, other)
-        if unit is _MANY:
+        data = _unit(value)
+        if data is _MANY:
             merged = self._merge_store(value, addr_reg, seq, loc)
         else:
-            # at most one unit: check it, and keep the data's unit (a
-            # store of untracked data starts its own)
-            if unit is not None and self._2pl_check:
-                self._check_unit(unit, seq, loc)
+            if self._2pl_check:
+                other = regs[addr_reg] if self._use_addr_deps else None
+                stack = self.ctrl_stack if self._use_ctrl_deps else ()
+                if (other is None or other is value) and not stack:
+                    # the data's unit alone
+                    if data is not None:
+                        self._check_unit(data, seq, loc)
+                else:
+                    # the data's unit with every other unit the address
+                    # and control values resolve to, in creation order
+                    units = [] if data is None else [data]
+                    if other is not None and other is not value:
+                        _gather(other, units)
+                    for other, _reconv in stack:
+                        if other is not None and other is not value:
+                            _gather(other, units)
+                    if len(units) > 1:
+                        units.sort(key=_by_uid)
+                    for cu in units:
+                        self._check_unit(cu, seq, loc)
+            # keep the data's unit (a store of untracked data starts
+            # its own)
             merged = data if data is not None else self._new_cu(seq)
         entry = self.blocks.get(block)
         if entry is None:
             entry = self._track(block, merged)
         entry.state = _STORE_STATE[entry.state]
         entry.cu = merged
-        merged.add_write(block)
+        merged.ws.add(block)
         self.local_writes[block] = (seq, loc)
         self.last_access_cu = merged
 
-    def _merge_store(self, value: Optional[Value], addr_reg: int,
-                     seq: int, loc: int) -> Cu:
-        """A store where different units meet: check them all, in
-        creation order, then ``merge_and_update`` the data units."""
+    def _merge_store(self, value: Value, addr_reg: int, seq: int,
+                     loc: int) -> Cu:
+        """A store whose data holds several units: check them and the
+        address and control units, in creation order, then
+        ``merge_and_update`` the data units."""
         data_set = _roots(value)
         checked = set(data_set)
         if self._use_addr_deps:
@@ -306,7 +339,7 @@ class _ThreadSvd:
             # creation order: iterating the raw set would emit
             # same-event violations in identity-hash order, which
             # differs from process to process
-            for cu in sorted(checked, key=lambda c: c.uid):
+            for cu in sorted(checked, key=_by_uid):
                 self._check_unit(cu, seq, loc)
         merged = merge_cus(data_set, self.tid, seq)
         if not data_set:
@@ -319,23 +352,6 @@ class _ThreadSvd:
                 if cu is not merged:
                     self.live_cus.pop(cu.uid, None)
         return merged
-
-    def on_remote(self, block: int, is_write: bool, seq: int, loc: int,
-                  tid: int, addr: int) -> None:
-        entry = self.blocks.get(block)
-        if entry is None:
-            return
-        if is_write or entry.state in WRITTEN_STATES:
-            entry.conflict = True
-            entry.conflict_seq = seq
-            entry.conflict_loc = loc
-            entry.conflict_tid = tid
-            entry.conflict_addr = addr
-        new_state, cut = _REMOTE_STATE[entry.state]
-        if cut:
-            self.deactivate(entry.cu, "remote-true-dep", seq)
-        else:
-            entry.state = new_state
 
     def on_thread_end(self, seq: int) -> None:
         for cu in list(self.live_cus.values()):
@@ -577,27 +593,31 @@ class OnlineSVD(MachineObserver):
 
     def _deliver_remote(self, block: int, is_write: bool, seq: int,
                         loc: int, source_tid: int, addr: int) -> None:
-        trackers = self.trackers.get(block)
-        if not trackers:
-            return
+        """REMOTE_ACCESS: tell every other thread tracking ``block``
+        (the caller has seen more than one) of an access to it.  A
+        receiver's cut can unregister interest mid-walk, so the walk
+        reads a snapshot."""
         threads = self.threads
-        if len(trackers) == 1:
-            # dominant case: one tracker.  Extract it before delivering
-            # (delivery may cut the CU and mutate the directory entry),
-            # skipping the per-memory-event snapshot copy entirely.
-            (tid,) = trackers
-            if tid != source_tid:
-                self.remote_messages += 1
-                threads[tid].on_remote(block, is_write, seq, loc,
-                                       source_tid, addr)
-            return
-        # several trackers: delivery can unregister interest mid-walk,
-        # so iterate a snapshot
-        for tid in tuple(trackers):
-            if tid != source_tid:
-                self.remote_messages += 1
-                threads[tid].on_remote(block, is_write, seq, loc,
-                                       source_tid, addr)
+        sent = 0
+        for tid in tuple(self.trackers[block]):
+            if tid == source_tid:
+                continue
+            sent += 1
+            receiver = threads[tid]
+            entry = receiver.blocks[block]
+            state = entry.state
+            if is_write or state in WRITTEN_STATES:
+                entry.conflict = True
+                entry.conflict_seq = seq
+                entry.conflict_loc = loc
+                entry.conflict_tid = source_tid
+                entry.conflict_addr = addr
+            new_state, cut = _REMOTE_STATE[state]
+            if cut:
+                receiver.deactivate(entry.cu, "remote-true-dep", seq)
+            else:
+                entry.state = new_state
+        self.remote_messages += sent
 
     def finish(self, end_seq: int) -> None:
         """Close all still-open CUs at the end of the run."""

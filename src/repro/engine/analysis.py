@@ -6,10 +6,10 @@ frontier race detector, and batch algorithms like the offline three-pass
 SVD -- adapts to one contract so the :class:`repro.engine.DetectorEngine`
 can multiplex a single normalized event stream to all of them at once:
 
-* :attr:`Analysis.interests` names the event kinds the analysis wants;
-  the engine builds a per-kind dispatch table from these, so the
-  "is this event for me?" filtering every detector used to repeat in its
-  hot loop happens exactly once per event, engine-side.
+* :attr:`Analysis.interests` names the event kinds the analysis reads.
+  The machine stages only kinds some attached analysis reads; the
+  engine hands every window to every subscribed analysis, which skips
+  the rows of other kinds in its own loop.
 * :attr:`Analysis.requires` names other analyses whose *finished* state
   this one reads.  This is how two-pass detectors declare their extra
   passes: the engine schedules each requirement in a strictly earlier

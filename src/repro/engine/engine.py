@@ -22,17 +22,17 @@ without another pass over the stream.
 
 Dispatch.  Events arrive as :class:`~repro.machine.batch.EventBatch`
 windows -- the machine's flushes, or slices of a recorded trace -- and
-each analysis receives each window in one ``consume_batch`` call,
-skipped when the window holds none of its :attr:`interests`.  That is
-the only way an analysis receives events; one that subscribes to events
+each analysis receives every window in one ``consume_batch`` call,
+skipping the kinds outside its :attr:`interests` itself.  That is the
+only way an analysis receives events; one that subscribes to events
 without a ``consume_batch`` is refused before the run starts.
 
 :class:`EngineStats` records, per phase, how many events were read from
-the source and how many callbacks were dispatched -- the event-count
-probe tests and the throughput benchmark assert the single-pass
-guarantee through it.  The finished stats also ride on every produced
-:class:`ViolationReport` (``report.engine_stats``), so pass counts are
-visible wherever a report travels.
+the source -- the event-count probe tests and the throughput benchmark
+assert the single-pass guarantee through it.  The finished stats also
+ride on every produced :class:`ViolationReport`
+(``report.engine_stats``), so pass counts are visible wherever a report
+travels.
 
 Observability.  When :mod:`repro.obs` is active the engine wraps the
 machine run and every phase in spans and publishes ``engine.*`` metrics
@@ -76,8 +76,8 @@ class _PhaseDispatcher(MachineObserver):
     """Routes one phase's event windows to its analyses.
 
     Each analysis receives every shared window in one ``consume_batch``
-    call, skipped when the window holds none of its :attr:`interests`.
-    An analysis targeted by an ``analysis.raise`` fault receives its
+    call and skips the kinds outside its :attr:`interests`.  An
+    analysis targeted by an ``analysis.raise`` fault receives its
     windows through a :class:`~repro.faults.inject.RaisingConsumer`,
     which cuts the window at the faulting event.
 
@@ -116,7 +116,6 @@ class _PhaseDispatcher(MachineObserver):
         self.any_subscribers = self.interests is None or bool(self.interests)
         self.phase_index = phase_index
         self.events_read = 0
-        self.events_dispatched = 0
         #: analysis name -> AnalysisFailure, in quarantine order
         self.failures: Dict[str, AnalysisFailure] = {}
 
@@ -124,23 +123,9 @@ class _PhaseDispatcher(MachineObserver):
         """Deliver one window: one call per analysis with the shared
         mixed-kind window."""
         self.batches_consumed += 1
-        count = batch.count
         base = self.events_read
-        self.events_read = base + count
-        kind_counts = None
-        for analysis, consume, kinds in self._handlers:
-            if kinds is None:
-                fed = count
-            else:
-                if kind_counts is None:
-                    kind_counts = batch.kind_counts()
-                fed = 0
-                for kind in kinds:
-                    fed += kind_counts[kind]
-                if not fed:
-                    # no event of the window is of a kind it reads
-                    continue
-            self.events_dispatched += fed
+        self.events_read = base + batch.count
+        for analysis, consume, _kinds in self._handlers:
             try:
                 consume(batch)
             except Exception as exc:
@@ -173,12 +158,20 @@ class _CountingPhaseDispatcher(_PhaseDispatcher):
                  phase_index: int = 0) -> None:
         super().__init__(analyses, phase_index)
         self.kind_counts = [0] * N_KINDS
+        #: events handed to analyses: per window and analysis, the
+        #: window's events of the kinds that analysis reads
+        self.events_dispatched = 0
 
     def consume_batch(self, batch: EventBatch) -> None:
+        counts = batch.kind_counts()
         kc = self.kind_counts
-        for kind, count in enumerate(batch.kind_counts()):
+        for kind, count in enumerate(counts):
             if count:
                 kc[kind] += count
+        for _analysis, _consume, kinds in self._handlers:
+            self.events_dispatched += (
+                batch.count if kinds is None
+                else sum(counts[kind] for kind in kinds))
         _PhaseDispatcher.consume_batch(self, batch)
 
 
@@ -196,7 +189,6 @@ class PhaseStats:
     index: int
     analyses: Tuple[str, ...]
     events_read: int = 0
-    events_dispatched: int = 0
     #: True when the phase needed no events (pure composition)
     skipped: bool = False
 
@@ -213,10 +205,6 @@ class EngineStats:
     @property
     def total_events_read(self) -> int:
         return sum(p.events_read for p in self.phases)
-
-    @property
-    def total_events_dispatched(self) -> int:
-        return sum(p.events_dispatched for p in self.phases)
 
 
 @dataclass
@@ -480,7 +468,6 @@ class DetectorEngine:
             index=index,
             analyses=tuple(a.name for a in analyses),
             events_read=dispatcher.events_read,
-            events_dispatched=dispatcher.events_dispatched,
             skipped=(not dispatcher.any_subscribers
                      and dispatcher.events_read == 0)))
         if isinstance(dispatcher, _CountingPhaseDispatcher):

@@ -57,6 +57,12 @@ from typing import Dict, List, Mapping, Tuple
 #: 909k before) and 623k-843k on full-svd-mysql (508k-963k before).
 #: The bare floor was raised from 700k to half the slowest calm run,
 #: rounded down; the full-svd-mysql floor stays.
+#: Since a store calls ``merge_cus`` only when its data holds several
+#: units and remote delivery runs inline, four alternating runs against
+#: the code before read 931k, 953k and 899k full-svd steps/s (833k and
+#: 805k before), and 582k in a slow episode of the shared box (491k and
+#: 511k before).  The full-svd floor was raised from 180k to half the
+#: slowest of the four, slow episode included, rounded down.
 #:
 #: ``BENCH_serve.json``: sustained ``repro serve`` fleet throughput --
 #: a supervised fleet of short executions must complete at least this
@@ -88,7 +94,7 @@ FLOORS: Dict[str, Dict[str, float]] = {
     },
     "BENCH_interp.json": {
         "modes.predecoded/0-observers.steps_per_sec": 1_150_000,
-        "modes.predecoded/full-svd.steps_per_sec": 180_000,
+        "modes.predecoded/full-svd.steps_per_sec": 290_000,
         "modes.predecoded/full-svd-mysql.steps_per_sec": 300_000,
     },
     "BENCH_serve.json": {

@@ -6,9 +6,12 @@ import weakref
 import pytest
 
 from repro.core import OnlineSVD, SvdConfig
+from repro.core.fsm import LOADED, LOADED_SHARED, TRUE_DEP
 from repro.harness.runner import run_workload
 from repro.lang import compile_source
 from repro.machine import Machine, RandomScheduler, SerialScheduler
+from repro.machine.batch import EventBatch
+from repro.machine.events import EV_STORE
 from repro.workloads import apache_log
 from tests.conftest import run_with_svd
 
@@ -120,6 +123,105 @@ class TestDirectory:
                           observers=[svd])
         machine.run()
         assert svd.remote_messages == 0
+
+
+#: ``buf[i] = v + 1``: a store whose data and address are registers
+STORE_SRC = ("shared int buf[4];"
+             "thread t(int i) { int v = buf[0]; buf[i] = v + 1; }")
+
+
+def svd_with_units(n):
+    """Thread 0 of a fresh SVD holding ``n`` open units: unit ``k`` is
+    born at seq ``k`` and reads block ``10 + k``, which a remote write
+    by thread 1 conflicted with."""
+    svd = OnlineSVD(compile_source(STORE_SRC))
+    detector = svd._thread(0)
+    units = []
+    for k in range(n):
+        cu = detector._new_cu(k)
+        entry = detector._track(10 + k, cu)
+        cu.rs.add(10 + k)
+        entry.state = LOADED_SHARED
+        entry.conflict = True
+        entry.conflict_seq = entry.conflict_loc = 100 + k
+        entry.conflict_tid = 1
+        entry.conflict_addr = 10 + k
+        units.append(cu)
+    return svd, detector, units
+
+
+def store(svd, tid, block, seq=50):
+    """Feed one ``buf[i] = v + 1`` store by ``tid`` to ``block``."""
+    pc = max(svd._store_ops)
+    svd.consume_batch(EventBatch([(EV_STORE, seq, tid, pc, 0, block, 0,
+                                   False, -1)]))
+
+
+def data_and_address(svd):
+    """The register slots the store's data and address are read from."""
+    return svd._store_ops[max(svd._store_ops)]
+
+
+class TestStorePath:
+    def test_one_data_unit_checks_every_unit_in_uid_order(self):
+        svd, detector, (a, b, c) = svd_with_units(3)
+        data, address = data_and_address(svd)
+        # the newest unit is the data, the oldest sits on the control
+        # stack (its reconvergence pc is never reached)
+        detector.regs[data] = c
+        detector.regs[address] = b
+        detector.ctrl_stack.append((a, -1))
+        store(svd, 0, 3)
+        assert [row[7] for row in svd.report.rows] == [0, 1, 2]
+        assert [row[3] for row in svd.report.rows] == [10, 11, 12]
+        assert detector.cus_merged == 0
+        assert detector.blocks[3].cu is c
+        assert a.active and b.active and 3 in c.ws
+
+    def test_two_data_units_merge(self):
+        svd, detector, (a, b) = svd_with_units(2)
+        data, _address = data_and_address(svd)
+        detector.regs[data] = frozenset((b, a))
+        store(svd, 0, 3)
+        assert [row[7] for row in svd.report.rows] == [0, 1]
+        assert detector.cus_merged == 1
+        merged = detector.blocks[3].cu
+        assert a.resolve() is merged and b.resolve() is merged
+        assert merged.rs == {10, 11} and 3 in merged.ws
+
+    def test_untracked_store_under_a_tracked_branch(self):
+        svd, detector, (a,) = svd_with_units(1)
+        detector.ctrl_stack.append((a, -1))
+        created = detector.cus_created
+        store(svd, 0, 3)
+        # the branch's unit is checked, and the store starts its own
+        assert [row[7] for row in svd.report.rows] == [0]
+        assert detector.cus_created == created + 1
+        assert detector.cus_merged == 0
+        fresh = detector.blocks[3].cu
+        assert fresh is not a and fresh.active and a.active
+        assert fresh.ws == {3} and 3 not in a.ws
+
+
+class TestRemoteDelivery:
+    def test_delivery_outlives_a_receiver_cut(self):
+        """Thread 1 wrote and read the block back, so the remote store
+        cuts its unit, which drops its interest mid-walk; thread 2,
+        walked after it, still hears of the store."""
+        svd = OnlineSVD(compile_source(STORE_SRC))
+        for tid, state, blocks in ((1, TRUE_DEP, "ws"), (2, LOADED, "rs")):
+            detector = svd._thread(tid)
+            cu = detector._new_cu(tid)
+            getattr(cu, blocks).add(3)
+            detector._track(3, cu).state = state
+        store(svd, 0, 3, seq=50)
+        assert svd.remote_messages == 2
+        assert 3 not in svd.threads[1].blocks
+        assert svd.trackers[3] == {0, 2}
+        assert [row[6] for row in svd.log.cu_rows] == ["remote-true-dep"]
+        entry = svd.threads[2].blocks[3]
+        assert (entry.state, entry.conflict, entry.conflict_seq,
+                entry.conflict_tid) == (LOADED_SHARED, True, 50, 0)
 
 
 class TestCommunicationLog:

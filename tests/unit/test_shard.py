@@ -6,6 +6,8 @@ sharded/unsharded byte-identity lives in
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -155,15 +157,43 @@ class TestMergeHeartbeats:
         assert merge_heartbeats([]) is None
 
 
+#: the peak-RSS growth check, run in a fresh interpreter: a high-water
+#: mark keeps whatever the process allocated before, so the same check
+#: in the test process depends on the tests that ran earlier in it
+_GROWTH_PROBE = """
+from repro.obs.rss import peak_rss_bytes
+first = peak_rss_bytes()
+assert first > 1024 * 1024  # a python process is at least a MB
+ballast = bytearray(32 * 1024 * 1024)
+grown = peak_rss_bytes()
+assert grown >= first + 24 * 1024 * 1024, (first, grown)
+del ballast
+# a high-water mark does not come back down (modulo the kernel's
+# deferred per-thread RSS accounting, which can lag a few hundred KB
+# either way)
+assert peak_rss_bytes() >= grown - 2 * 1024 * 1024
+"""
+
+
+def _growth_probe():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__)))), "src")
+    return subprocess.run([sys.executable, "-c", _GROWTH_PROBE], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
 class TestPeakRss:
     def test_positive_and_tracks_growth(self):
-        first = peak_rss_bytes()
-        assert first > 1024 * 1024  # a python process is at least a MB
-        ballast = bytearray(32 * 1024 * 1024)
-        grown = peak_rss_bytes()
-        assert grown >= first + 24 * 1024 * 1024
-        del ballast
-        # a high-water mark does not come back down (modulo the
-        # kernel's deferred per-thread RSS accounting, which can lag a
-        # few hundred KB either way)
-        assert peak_rss_bytes() >= grown - 2 * 1024 * 1024
+        proc = _growth_probe()
+        assert proc.returncode == 0, proc.stderr
+
+    def test_growth_check_ignores_an_earlier_transient(self):
+        """A 64 MB transient leaves this process's peak above what a
+        32 MB ballast reaches afterwards; the probe does not see it."""
+        transient = bytearray(64 * 1024 * 1024)
+        del transient
+        assert peak_rss_bytes() > 64 * 1024 * 1024
+        proc = _growth_probe()
+        assert proc.returncode == 0, proc.stderr
